@@ -28,10 +28,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled():
-    return _GRAD_ENABLED
-
-
 def _unbroadcast(g, shape):
     """Reduce gradient g (broadcast shape) back down to ``shape``."""
     if g.shape == shape:

@@ -3,19 +3,21 @@
 The pipeline stacks the microphone and far-end spectra as two complex input
 channels, runs a complex conv encoder, the frequency-time recurrence block,
 a complex deconv decoder, the deep filter and two complex LSTM layers, and
-produces a complex mask that multiplies the microphone spectrum.
+produces a complex mask that multiplies the microphone spectrum.  The
+network is wired once, as two stages over blocks of frames (see
+`encode_stage` and `mask_stage`), for offline, streaming and training use.
 """
 
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nn
-from .autodiff import Var, as_var, no_grad
-from .dsp import AudioBuffer, ComplexSpec, StftConfig, idft_matrices, istft, stft
+from .autodiff import as_var, no_grad
+from .dsp import AudioBuffer, ComplexSpec, StftConfig, istft, stft
 from .nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
                  LstmSpec, activation, complex_conv2d, complex_deconv2d,
                  complex_lstm, deep_filter_apply, ft_lstm_block)
@@ -32,6 +34,10 @@ class WeightError(ValueError):
 MASK_CLAMP = 100.0
 
 
+def _conv_row(s: ConvSpec):
+    return [s.in_ch, s.out_ch, s.kernel_f, s.kernel_t, s.stride_f, s.stride_t, s.pad_f, s.pad_t]
+
+
 @dataclass
 class ModelConfig:
     stft: StftConfig = field(default_factory=StftConfig)
@@ -45,52 +51,39 @@ class ModelConfig:
     df_wiring: str = "decoder"  # "decoder" or "input": what the taps filter
     seed: int = 0
 
+    def __post_init__(self):
+        # the network runs on blocks of frames down to one frame, so the
+        # encoder and decoder must not mix frames and the deep filter must
+        # reach exactly one frame either way
+        for s in (*self.enc_specs, *self.dec_specs):
+            if (s.kernel_t, s.stride_t, s.pad_t) != (1, 1, 0):
+                raise ValueError("encoder and decoder convolutions must be frame-local "
+                                 "(kernel_t = stride_t = 1, pad_t = 0)")
+        d = self.df_spec
+        if d is not None and (d.kernel_t, d.stride_t, d.pad_t) != (3, 1, 1):
+            raise ValueError("the deep filter convolution must span one frame either "
+                             "way (kernel_t = 3, stride_t = 1, pad_t = 1)")
+
+    @classmethod
+    def _sized(cls, ch1, ch2, lstm_hidden, clstm_hidden, clstm_layers, seed, df_wiring):
+        """The paper's topology with the given widths."""
+        return cls(
+            enc_specs=(ConvSpec(in_ch=2, out_ch=ch1, kernel_f=5, stride_f=2),
+                       ConvSpec(in_ch=ch1, out_ch=ch2, kernel_f=3, pad_f=1)),
+            dec_specs=(ConvSpec(in_ch=ch2, out_ch=ch1, kernel_f=3, pad_f=1, transposed=True),
+                       ConvSpec(in_ch=ch1, out_ch=1, kernel_f=5, stride_f=2, transposed=True)),
+            df_spec=ConvSpec(in_ch=1, out_ch=9, kernel_f=3, kernel_t=3, pad_f=1, pad_t=1),
+            lstm_hidden=lstm_hidden, clstm_hidden=clstm_hidden,
+            clstm_layers=clstm_layers, seed=seed, df_wiring=df_wiring)
+
     @classmethod
     def paper_mode(cls, seed=0, df_wiring="decoder"):
-        return cls(
-            stft=StftConfig(),
-            enc_specs=(
-                ConvSpec(in_ch=2, out_ch=32, kernel_f=5, stride_f=2, pad_f=0),
-                ConvSpec(in_ch=32, out_ch=96, kernel_f=3, stride_f=1, pad_f=1),
-            ),
-            dec_specs=(
-                ConvSpec(in_ch=96, out_ch=32, kernel_f=3, stride_f=1, pad_f=1,
-                         transposed=True),
-                ConvSpec(in_ch=32, out_ch=1, kernel_f=5, stride_f=2, pad_f=0,
-                         transposed=True),
-            ),
-            df_spec=ConvSpec(in_ch=1, out_ch=9, kernel_f=3, kernel_t=3,
-                             pad_f=1, pad_t=1),
-            lstm_hidden=128,
-            clstm_hidden=128,
-            clstm_layers=2,
-            seed=seed,
-            df_wiring=df_wiring,
-        )
+        return cls._sized(32, 96, 128, 128, 2, seed, df_wiring)
 
     @classmethod
     def desk_mode(cls, seed=0, df_wiring="decoder"):
         """Small configuration for fast desk-scale training experiments."""
-        return cls(
-            stft=StftConfig(),
-            enc_specs=(
-                ConvSpec(in_ch=2, out_ch=4, kernel_f=5, stride_f=2, pad_f=0),
-                ConvSpec(in_ch=4, out_ch=8, kernel_f=3, stride_f=1, pad_f=1),
-            ),
-            dec_specs=(
-                ConvSpec(in_ch=8, out_ch=4, kernel_f=3, stride_f=1, pad_f=1,
-                         transposed=True),
-                ConvSpec(in_ch=4, out_ch=1, kernel_f=5, stride_f=2, pad_f=0,
-                         transposed=True),
-            ),
-            df_spec=ConvSpec(in_ch=1, out_ch=9, kernel_f=3, kernel_t=3,
-                             pad_f=1, pad_t=1),
-            lstm_hidden=16,
-            clstm_hidden=32,
-            clstm_layers=1,
-            seed=seed,
-            df_wiring=df_wiring,
-        )
+        return cls._sized(4, 8, 16, 32, 1, seed, df_wiring)
 
     @property
     def n_bins(self):
@@ -112,10 +105,8 @@ class ModelConfig:
             "stft": {"win_len": self.stft.win_len, "hop": self.stft.hop,
                      "fft_size": self.stft.fft_size,
                      "sample_rate": self.stft.sample_rate},
-            "enc": [[s.in_ch, s.out_ch, s.kernel_f, s.kernel_t, s.stride_f,
-                     s.stride_t, s.pad_f, s.pad_t] for s in self.enc_specs],
-            "dec": [[s.in_ch, s.out_ch, s.kernel_f, s.kernel_t, s.stride_f,
-                     s.stride_t, s.pad_f, s.pad_t] for s in self.dec_specs],
+            "enc": [_conv_row(s) for s in self.enc_specs],
+            "dec": [_conv_row(s) for s in self.dec_specs],
             "df": [self.df_spec.in_ch, self.df_spec.out_ch, self.df_spec.kernel_f,
                    self.df_spec.kernel_t, self.df_spec.pad_f, self.df_spec.pad_t],
             "lstm_hidden": self.lstm_hidden,
@@ -202,18 +193,23 @@ def _init_lstm(rng, tensors, prefix, input_dim, hidden, bidirectional):
         tensors[f"{prefix}.b_hh{suf}"] = _uniform(rng, (4 * hidden,), hidden)
 
 
+def _init_conv(rng, tensors, name, s: ConvSpec, prelu):
+    fan = s.in_ch * s.kernel_t * s.kernel_f
+    shape = (s.out_ch, s.in_ch, s.kernel_t, s.kernel_f)
+    tensors[f"{name}.kr"] = _uniform(rng, shape, fan)
+    tensors[f"{name}.ki"] = _uniform(rng, shape, fan)
+    if prelu:
+        tensors[f"{name}.alpha_r"] = np.full((s.out_ch, 1, 1), 0.25, dtype=np.float32)
+        tensors[f"{name}.alpha_i"] = np.full((s.out_ch, 1, 1), 0.25, dtype=np.float32)
+
+
 def init_weights(cfg: ModelConfig, seed=None) -> WeightStore:
     """Seeded random weight store matching cfg."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     t = OrderedDict()
+    prelu = cfg.activation == "prelu"
     for i, s in enumerate(cfg.enc_specs):
-        fan = s.in_ch * s.kernel_t * s.kernel_f
-        shape = (s.out_ch, s.in_ch, s.kernel_t, s.kernel_f)
-        t[f"enc{i}.kr"] = _uniform(rng, shape, fan)
-        t[f"enc{i}.ki"] = _uniform(rng, shape, fan)
-        if cfg.activation == "prelu":
-            t[f"enc{i}.alpha_r"] = np.full((s.out_ch, 1, 1), 0.25, dtype=np.float32)
-            t[f"enc{i}.alpha_i"] = np.full((s.out_ch, 1, 1), 0.25, dtype=np.float32)
+        _init_conv(rng, t, f"enc{i}", s, prelu)
     c = cfg.bottleneck_ch
     h = cfg.lstm_hidden
     for part in ("re", "im"):
@@ -225,18 +221,9 @@ def init_weights(cfg: ModelConfig, seed=None) -> WeightStore:
         t[f"ft.{part}.proj_t.b"] = _uniform(rng, (c,), h)
     n_dec = len(cfg.dec_specs)
     for i, s in enumerate(cfg.dec_specs):
-        fan = s.in_ch * s.kernel_t * s.kernel_f
-        shape = (s.out_ch, s.in_ch, s.kernel_t, s.kernel_f)
-        j = n_dec - 1 - i  # mirror encoder numbering: dec0 is the last layer
-        t[f"dec{j}.kr"] = _uniform(rng, shape, fan)
-        t[f"dec{j}.ki"] = _uniform(rng, shape, fan)
-        if cfg.activation == "prelu" and i < n_dec - 1:  # final deconv is linear
-            t[f"dec{j}.alpha_r"] = np.full((s.out_ch, 1, 1), 0.25, dtype=np.float32)
-            t[f"dec{j}.alpha_i"] = np.full((s.out_ch, 1, 1), 0.25, dtype=np.float32)
-    s = cfg.df_spec
-    fan = s.in_ch * s.kernel_t * s.kernel_f
-    t["df.kr"] = _uniform(rng, (s.out_ch, s.in_ch, s.kernel_t, s.kernel_f), fan)
-    t["df.ki"] = _uniform(rng, (s.out_ch, s.in_ch, s.kernel_t, s.kernel_f), fan)
+        # mirror encoder numbering: dec0 is the last layer, which is linear
+        _init_conv(rng, t, f"dec{n_dec - 1 - i}", s, prelu and i < n_dec - 1)
+    _init_conv(rng, t, "df", cfg.df_spec, False)
     d = cfg.n_bins
     ch = cfg.clstm_hidden
     for i in range(cfg.clstm_layers):
@@ -281,37 +268,147 @@ def _lstm_spec(params, prefix, input_dim, hidden, bidirectional):
     return LstmSpec(input_dim, hidden, bidirectional, weights)
 
 
-def bundle_params(params, cfg: ModelConfig):
-    """Group a flat name->Var mapping into per-layer parameter objects."""
-    c, h, d = cfg.bottleneck_ch, cfg.lstm_hidden, cfg.n_bins
-    ft = {}
-    for part in ("re", "im"):
-        ft[part] = FtLstmParams(
-            f_spec=_lstm_spec(params, f"ft.{part}.f", c, h, True),
-            t_spec=_lstm_spec(params, f"ft.{part}.t", c, h, False),
-            proj_f_w=params[f"ft.{part}.proj_f.w"],
-            proj_f_b=params[f"ft.{part}.proj_f.b"],
-            proj_t_w=params[f"ft.{part}.proj_t.w"],
-            proj_t_b=params[f"ft.{part}.proj_t.b"],
-        )
-    clstm = []
-    for i in range(cfg.clstm_layers):
-        clstm.append(ComplexLstmParams(
-            spec_r=_lstm_spec(params, f"clstm{i}.r", d, cfg.clstm_hidden, False),
-            spec_i=_lstm_spec(params, f"clstm{i}.i", d, cfg.clstm_hidden, False),
-            proj_pr=params[f"clstm{i}.proj.pr"],
-            proj_pi=params[f"clstm{i}.proj.pi"],
-            proj_br=params[f"clstm{i}.proj.br"],
-            proj_bi=params[f"clstm{i}.proj.bi"],
-        ))
-    return ft, clstm
+def _ft_params(params, cfg: ModelConfig):
+    """The F-T-LSTM block's (real part, imaginary part) parameters."""
+    c, h = cfg.bottleneck_ch, cfg.lstm_hidden
+    return [FtLstmParams(
+        f_spec=_lstm_spec(params, f"ft.{part}.f", c, h, True),
+        t_spec=_lstm_spec(params, f"ft.{part}.t", c, h, False),
+        proj_f_w=params[f"ft.{part}.proj_f.w"],
+        proj_f_b=params[f"ft.{part}.proj_f.b"],
+        proj_t_w=params[f"ft.{part}.proj_t.w"],
+        proj_t_b=params[f"ft.{part}.proj_t.b"],
+    ) for part in ("re", "im")]
+
+
+def _clstm_params(params, cfg: ModelConfig):
+    d, h = cfg.n_bins, cfg.clstm_hidden
+    return [ComplexLstmParams(
+        spec_r=_lstm_spec(params, f"clstm{i}.r", d, h, False),
+        spec_i=_lstm_spec(params, f"clstm{i}.i", d, h, False),
+        proj_pr=params[f"clstm{i}.proj.pr"],
+        proj_pi=params[f"clstm{i}.proj.pi"],
+        proj_br=params[f"clstm{i}.proj.br"],
+        proj_bi=params[f"clstm{i}.proj.bi"],
+    ) for i in range(cfg.clstm_layers)]
 
 
 def _finite_check(name, pair):
-    for comp in (pair.re, pair.im):
-        d = comp.data if isinstance(comp, Var) else comp
-        if not np.all(np.isfinite(d)):
-            raise NumericError(f"non-finite values after layer {name}")
+    if not (np.all(np.isfinite(pair.re.data)) and np.all(np.isfinite(pair.im.data))):
+        raise NumericError(f"non-finite values after layer {name}")
+
+
+# ---- the network -----------------------------------------------------------
+#
+# The convolutions are frame-local, the T-LSTM and the cLSTM carry state and
+# the deep filter looks one frame ahead, so the network is two stages over a
+# block of T >= 1 frames of B sequences, with explicit carried state.
+# `forward` runs them once over all frames, `StreamingSession` once per frame
+# and training once over a batch.  The frames of the B sequences share one
+# axis, sequence by sequence: (C, B*T, F).  Kernels are called through this
+# module's names so that profilers can patch them here.
+
+
+def _no_note(name, pair):
+    return None
+
+
+def _conv_layer(conv, w, params, name, spec, prelu):
+    w = conv(w, ComplexPair(params[f"{name}.kr"], params[f"{name}.ki"]), spec)
+    if prelu:
+        w = ComplexPair(activation(w.re, "prelu", params[f"{name}.alpha_r"]),
+                        activation(w.im, "prelu", params[f"{name}.alpha_i"]))
+    return w
+
+
+def encode_stage(w: ComplexPair, b, params, cfg: ModelConfig, t_states=None,
+                 note=_no_note):
+    """Encoder, F-T-LSTM and decoder.
+
+    w: (2, B*T, F), the stacked (mic, far-end) spectra of B sequences.
+    Returns the decoder output (1, B*T, F) and the T-LSTM states after the
+    block.  note(name, pair) sees every layer's output.
+    """
+    prelu = cfg.activation == "prelu"
+    for i, spec in enumerate(cfg.enc_specs):
+        w = _conv_layer(complex_conv2d, w, params, f"enc{i}", spec, prelu)
+        note(f"enc{i}", w)
+
+    c, n, f = w.shape
+    h = ComplexPair(*(x.reshape(c, b, n // b, f).transpose(0, 3, 1, 2)
+                      for x in (w.re, w.im)))  # (C, F, B, T)
+    h, t_states = ft_lstm_block(h, *_ft_params(params, cfg), t_states)
+    w = ComplexPair(*(x.transpose(0, 2, 3, 1).reshape(c, n, f) for x in (h.re, h.im)))
+    note("ft_lstm", w)
+
+    n_dec = len(cfg.dec_specs)
+    for i, spec in enumerate(cfg.dec_specs):
+        j = n_dec - 1 - i  # mirror encoder numbering: dec0 is the last layer
+        w = _conv_layer(complex_deconv2d, w, params, f"dec{j}", spec,
+                        prelu and i < n_dec - 1)  # final deconv is linear
+        note(f"dec{j}", w)
+    return w, t_states
+
+
+def mask_stage(dec: ComplexPair, mic: ComplexPair, b, params, cfg: ModelConfig,
+               states=None, note=_no_note):
+    """Deep filter and cLSTM layers.
+
+    dec, mic: the decoder output and the mic spectrum, (1, B*(T+2), F): each
+    sequence's block of T frames with one frame of time context either side
+    (zeros outside the signal).  Returns the mask, (T, F) for one sequence
+    or (T, B, F), and the cLSTM states after the block.
+    """
+    target = {"decoder": dec, "input": mic}.get(cfg.df_wiring)
+    if target is None:
+        raise ValueError(f"unknown df_wiring {cfg.df_wiring!r}")
+    # the context frames take the place of the time padding
+    spec = replace(cfg.df_spec, pad_t=0)
+    coef = complex_conv2d(dec, ComplexPair(params["df.kr"], params["df.ki"]), spec)
+    note("df_coef", coef)
+    m = deep_filter_apply(coef, target)
+    note("deep_filter", m)
+
+    # keep the frames centred on a block, time-major; between two sequences
+    # the two frames centred on context are dropped
+    f = dec.shape[2]
+    t = dec.shape[1] // b - 2
+    keep = ((t + 2) * np.arange(b) + np.arange(t)[:, None]).reshape(-1)
+    shape = (t, f) if b == 1 else (t, b, f)
+    m = ComplexPair(m.re[0, keep].reshape(shape), m.im[0, keep].reshape(shape))
+    states = list(states or [None] * cfg.clstm_layers)
+    for i, layer in enumerate(_clstm_params(params, cfg)):
+        m, states[i] = complex_lstm(m, layer, states[i])
+        note(f"clstm{i}", m)
+    return m, states
+
+
+def _framed(x: ComplexPair, b):
+    """(C, B*T, F) -> (C, B*(T+2), F): a zero frame either side of each of the
+    B sequences."""
+    c, n, f = x.shape
+    return ComplexPair(*(v.reshape(c, b, n // b, f).pad(((0, 0), (0, 0), (1, 1), (0, 0)))
+                         .reshape(c, -1, f) for v in (x.re, x.im)))
+
+
+def batch_mask_graph(y_specs, x_specs, params, cfg: ModelConfig, note=_no_note,
+                     dtype=np.float64):
+    """Masks of B equal-length sequences in one graph: (T, F) for one, else
+    (T, B, F).  Every stage runs once over all frames of all sequences."""
+    b, t = len(y_specs), y_specs[0].n_frames
+    if any(sp.n_frames != t for sp in (*y_specs, *x_specs)):
+        raise ValueError("sequences must have equal length")
+
+    def frames(specs, part):  # (B*T, F)
+        return np.concatenate([getattr(sp, part) for sp in specs])
+
+    w = ComplexPair(np.stack([frames(y_specs, "re"), frames(x_specs, "re")]).astype(dtype),
+                    np.stack([frames(y_specs, "im"), frames(x_specs, "im")]).astype(dtype))
+    note("input", w)
+    dec, _ = encode_stage(w, b, params, cfg, note=note)
+    mic = ComplexPair(w.re[:1], w.im[:1])
+    m, _ = mask_stage(_framed(dec, b), _framed(mic, b), b, params, cfg, note=note)
+    return m
 
 
 def build_mask_graph(y_spec: ComplexSpec, x_spec: ComplexSpec, params, cfg: ModelConfig,
@@ -320,59 +417,15 @@ def build_mask_graph(y_spec: ComplexSpec, x_spec: ComplexSpec, params, cfg: Mode
 
     params: flat name -> Var/ndarray map (expected to match dtype).  collect:
     optional dict that receives every intermediate activation shape, keyed by
-    layer name.
+    layer name.  check: raise NumericError on the first non-finite layer.
     """
-    t = y_spec.n_frames
-    w = ComplexPair(np.stack([y_spec.re, x_spec.re]).astype(dtype),
-                    np.stack([y_spec.im, x_spec.im]).astype(dtype))  # (2, T, F)
-    ft, clstm = bundle_params(params, cfg)
-
     def note(name, pair):
         if collect is not None:
             collect[name] = tuple(pair.shape)
         if check:
             _finite_check(name, pair)
 
-    note("input", w)
-    for i, spec in enumerate(cfg.enc_specs):
-        w = complex_conv2d(w, ComplexPair(params[f"enc{i}.kr"], params[f"enc{i}.ki"]), spec)
-        if cfg.activation == "prelu":
-            w = ComplexPair(activation(w.re, "prelu", params[f"enc{i}.alpha_r"]),
-                            activation(w.im, "prelu", params[f"enc{i}.alpha_i"]))
-        note(f"enc{i}", w)
-
-    # (C, T, F') -> block layout (C, F', T)
-    hb = ComplexPair(w.re.transpose(0, 2, 1), w.im.transpose(0, 2, 1))
-    hb, _ = ft_lstm_block(hb, ft["re"], ft["im"])
-    w = ComplexPair(hb.re.transpose(0, 2, 1), hb.im.transpose(0, 2, 1))
-    note("ft_lstm", w)
-
-    n_dec = len(cfg.dec_specs)
-    for i, spec in enumerate(cfg.dec_specs):
-        j = n_dec - 1 - i
-        w = complex_deconv2d(w, ComplexPair(params[f"dec{j}.kr"], params[f"dec{j}.ki"]), spec)
-        if cfg.activation == "prelu" and i < n_dec - 1:
-            w = ComplexPair(activation(w.re, "prelu", params[f"dec{j}.alpha_r"]),
-                            activation(w.im, "prelu", params[f"dec{j}.alpha_i"]))
-        note(f"dec{j}", w)
-
-    coef = complex_conv2d(w, ComplexPair(params["df.kr"], params["df.ki"]), cfg.df_spec)
-    note("df_coef", coef)
-    if cfg.df_wiring == "decoder":
-        target = w
-    elif cfg.df_wiring == "input":
-        target = ComplexPair(y_spec.re[None].astype(dtype),
-                             y_spec.im[None].astype(dtype))
-    else:
-        raise ValueError(f"unknown df_wiring {cfg.df_wiring!r}")
-    w = deep_filter_apply(coef, target)
-    note("deep_filter", w)
-
-    m = ComplexPair(w.re.reshape(t, cfg.n_bins), w.im.reshape(t, cfg.n_bins))
-    for i, layer in enumerate(clstm):
-        m, _ = complex_lstm(m, layer)
-        note(f"clstm{i}", m)
-    return m
+    return batch_mask_graph([y_spec], [x_spec], params, cfg, note, dtype)
 
 
 def params_as_vars(store: WeightStore, dtype=np.float64):
@@ -444,168 +497,95 @@ class StreamingSession:
 
     Feed 160-sample chunks of the microphone and far-end signals; output
     chunks appear after the algorithmic latency of win_len + hop samples
-    (analysis window plus one frame of deep-filter lookahead).
+    (analysis window plus one frame of deep-filter lookahead).  Each frame
+    runs the network's two stages with T = 1; the deep filter's three frames
+    of context live in fixed-size rings, so memory stays flat.
     """
 
     def __init__(self, store: WeightStore, cfg: ModelConfig):
         validate_store(store, cfg)
         self.cfg = cfg
         self.params = params_as_vars(store, np.float32)
-        self.ft, self.clstm = bundle_params(self.params, cfg)
         self.hop = cfg.stft.hop
         self.win = cfg.stft.win_len
-        self.y_pending = np.zeros(0)
-        self.x_pending = np.zeros(0)
+        self.pending = np.zeros((2, 0))  # (mic, far-end) samples not yet framed
         self.n_fed = 0
-        self.frame_idx = 0          # next analysis frame index
-        self.emit_idx = 0           # next output frame to emit
-        self.t_states = (None, None)
-        self.clstm_states = [None] * cfg.clstm_layers
-        self.dec_hist = []          # decoder output frames (re, im) of shape (1, 1, F)
-        self.target_hist = []       # deep-filter target frames
-        self.y_frames = []          # microphone spectra per frame
-        self.ola = np.zeros(self.win)  # overlap-add tail accumulator
+        self.frame_idx = 0               # analysis frames made so far
+        self.t_states = None
+        self.clstm_states = None
+        # frames tau-1, tau, tau+1 around the next output frame tau, zero
+        # before the signal: decoder output and microphone spectrum
+        self.dec_ring = np.zeros((3, cfg.n_bins), dtype=np.complex64)
+        self.mic_ring = np.zeros((3, cfg.n_bins), dtype=np.complex128)
+        self.ola = np.zeros(self.win)    # overlap-add tail accumulator
         self.done = False
 
     @property
     def algorithmic_latency(self):
         return self.win + self.hop
 
-    def _analysis(self, y_frame, x_frame):
-        w = self.cfg.stft.window
-        yf = np.fft.rfft(y_frame * w, n=self.cfg.stft.fft_size)
-        xf = np.fft.rfft(x_frame * w, n=self.cfg.stft.fft_size)
-        return yf, xf
+    def _analysis(self, frames):
+        """(mic, far-end) spectra of a (2, win_len) pair of frames."""
+        return np.fft.rfft(frames * self.cfg.stft.window, n=self.cfg.stft.fft_size)
 
-    def _encode_frame(self, yf, xf):
-        cfg = self.cfg
-        w = ComplexPair(np.stack([yf.real, xf.real])[:, None, :].astype(np.float32),
-                        np.stack([yf.imag, xf.imag])[:, None, :].astype(np.float32))  # (2, 1, F)
+    def _push(self, mic, dec):
+        for ring, frame in ((self.mic_ring, mic), (self.dec_ring, dec)):
+            ring[:-1] = ring[1:]
+            ring[-1] = frame
+        self.frame_idx += 1
+
+    def _mask_frame(self):
+        """Mask for the centre frame of the rings."""
+        dec = self.dec_ring[None]
+        mic = self.mic_ring[None].astype(np.complex64)
         with no_grad():
-            for i, spec in enumerate(cfg.enc_specs):
-                w = complex_conv2d(
-                    w, ComplexPair(self.params[f"enc{i}.kr"], self.params[f"enc{i}.ki"]), spec)
-                if cfg.activation == "prelu":
-                    w = ComplexPair(
-                        activation(w.re, "prelu", self.params[f"enc{i}.alpha_r"]),
-                        activation(w.im, "prelu", self.params[f"enc{i}.alpha_i"]))
-            hb = ComplexPair(w.re.transpose(0, 2, 1), w.im.transpose(0, 2, 1))
-            hb, self.t_states = ft_lstm_block(hb, self.ft["re"], self.ft["im"],
-                                              self.t_states)
-            w = ComplexPair(hb.re.transpose(0, 2, 1), hb.im.transpose(0, 2, 1))
-            n_dec = len(cfg.dec_specs)
-            for i, spec in enumerate(cfg.dec_specs):
-                j = n_dec - 1 - i
-                w = complex_deconv2d(
-                    w, ComplexPair(self.params[f"dec{j}.kr"], self.params[f"dec{j}.ki"]), spec)
-                if cfg.activation == "prelu" and i < n_dec - 1:
-                    w = ComplexPair(
-                        activation(w.re, "prelu", self.params[f"dec{j}.alpha_r"]),
-                        activation(w.im, "prelu", self.params[f"dec{j}.alpha_i"]))
-        return w.re.data, w.im.data  # (1, 1, F)
-
-    def _mask_frame(self, tau):
-        """Mask for output frame tau; needs decoder frames tau-1..tau+1."""
-        cfg = self.cfg
-        f = cfg.n_bins
-        zero = np.zeros((1, 1, f), dtype=np.float32)
-
-        def dec(i):
-            if 0 <= i < len(self.dec_hist):
-                return self.dec_hist[i]
-            return zero, zero
-
-        d_re = np.concatenate([dec(tau - 1)[0], dec(tau)[0], dec(tau + 1)[0]], axis=1)
-        d_im = np.concatenate([dec(tau - 1)[1], dec(tau)[1], dec(tau + 1)[1]], axis=1)
-        with no_grad():
-            coef = complex_conv2d(ComplexPair(d_re, d_im),
-                                  ComplexPair(self.params["df.kr"], self.params["df.ki"]),
-                                  ConvSpec(in_ch=cfg.df_spec.in_ch,
-                                           out_ch=cfg.df_spec.out_ch,
-                                           kernel_f=cfg.df_spec.kernel_f,
-                                           kernel_t=cfg.df_spec.kernel_t,
-                                           pad_f=cfg.df_spec.pad_f, pad_t=0))
-            # coef now (9, 1, F): the filter output at frame tau
-
-            def tgt(i):
-                if 0 <= i < len(self.target_hist):
-                    return self.target_hist[i]
-                return zero, zero
-
-            t_re = np.concatenate([tgt(tau - 1)[0], tgt(tau)[0], tgt(tau + 1)[0]], axis=1)
-            t_im = np.concatenate([tgt(tau - 1)[1], tgt(tau)[1], tgt(tau + 1)[1]], axis=1)
-            # tap sum for the centre frame only, replicating deep_filter_apply
-            out_re = np.zeros((1, f), dtype=np.float32)
-            out_im = np.zeros((1, f), dtype=np.float32)
-            tr = np.pad(t_re[0], ((0, 0), (1, 1)))
-            ti = np.pad(t_im[0], ((0, 0), (1, 1)))
-            cr = coef.re.data[:, 0, :]
-            ci = coef.im.data[:, 0, :]
-            for i_off in (-1, 0, 1):
-                for j_off in (-1, 0, 1):
-                    ch = 3 * (i_off + 1) + (j_off + 1)
-                    sr = tr[1 + j_off, 1 + i_off:1 + i_off + f]
-                    si = ti[1 + j_off, 1 + i_off:1 + i_off + f]
-                    out_re[0] += cr[ch] * sr - ci[ch] * si
-                    out_im[0] += cr[ch] * si + ci[ch] * sr
-            m = ComplexPair(out_re, out_im)  # (1, F) frame
-            for i, layer in enumerate(self.clstm):
-                m, self.clstm_states[i] = complex_lstm(m, layer, self.clstm_states[i])
+            m, self.clstm_states = mask_stage(
+                ComplexPair(dec.real, dec.imag), ComplexPair(mic.real, mic.imag),
+                1, self.params, self.cfg, self.clstm_states)
         return m.re.data[0], m.im.data[0]
 
     def _process_ready_frames(self):
         out = []
-        # make analysis frames while a full window is available
-        while len(self.y_pending) >= self.win:
-            yf, xf = self._analysis(self.y_pending[:self.win], self.x_pending[:self.win])
-            self._push_frame(yf, xf)
-            self.y_pending = self.y_pending[self.hop:]
-            self.x_pending = self.x_pending[self.hop:]
-            if self.emit_idx < self.frame_idx - 1:
-                out.append(self._emit(self.emit_idx, last=False))
-                self.emit_idx += 1
+        while self.pending.shape[1] >= self.win:
+            spec = self._analysis(self.pending[:, :self.win])[:, None]  # (2, 1, F)
+            with no_grad():
+                dec, self.t_states = encode_stage(
+                    ComplexPair(spec.real.astype(np.float32), spec.imag.astype(np.float32)),
+                    1, self.params, self.cfg, self.t_states)
+            self._push(spec[0, 0], dec.re.data[0, 0] + 1j * dec.im.data[0, 0])
+            self.pending = self.pending[:, self.hop:]
+            if self.frame_idx > 1:  # the previous frame has its lookahead
+                out.append(self._emit(last=False))
         return out
 
-    def _push_frame(self, yf, xf):
-        d_re, d_im = self._encode_frame(yf, xf)
-        self.dec_hist.append((d_re, d_im))
-        if self.cfg.df_wiring == "decoder":
-            self.target_hist.append((d_re, d_im))
-        else:
-            self.target_hist.append((yf.real[None, None, :].astype(np.float32),
-                                     yf.imag[None, None, :].astype(np.float32)))
-        self.y_frames.append(yf)
-        self.frame_idx += 1
-
-    def _emit(self, tau, last):
-        cfg = self.cfg
-        m_re, m_im = self._mask_frame(tau)
-        m_re, m_im = _clamp_mask(m_re, m_im)
-        yf = self.y_frames[tau]
-        s_re = yf.real * m_re - yf.imag * m_im
-        s_im = yf.real * m_im + yf.imag * m_re
-        frame = np.fft.irfft(s_re + 1j * s_im, n=cfg.stft.fft_size)[:self.win]
-        frame *= cfg.stft.window
-        self.ola += frame
+    def _emit(self, last):
+        m_re, m_im = _clamp_mask(*self._mask_frame())
+        s = self.mic_ring[1] * (m_re + 1j * m_im)
+        self.ola += np.fft.irfft(s, n=self.cfg.stft.fft_size)[:self.win] * self.cfg.stft.window
         if last:
-            chunk = self.ola.copy()
-            self.ola = np.zeros(self.win)
+            chunk, self.ola = self.ola, np.zeros(self.win)
         else:
             chunk = self.ola[:self.hop].copy()
             self.ola = np.concatenate([self.ola[self.hop:], np.zeros(self.hop)])
         return chunk
 
     def feed(self, y_chunk, x_chunk):
-        """Feed aligned hop-sized (160-sample) chunks; returns output samples."""
+        """Feed aligned hop-sized (160-sample) chunks; returns output samples.
+
+        A chunk with a non-finite sample raises NumericError, as `forward`
+        does, and leaves the session as it was.
+        """
         y_chunk = np.asarray(y_chunk, dtype=np.float64).reshape(-1)
         x_chunk = np.asarray(x_chunk, dtype=np.float64).reshape(-1)
         if self.done:
             raise RuntimeError("session already flushed")
         if len(y_chunk) != self.hop or len(x_chunk) != self.hop:
             raise ValueError(f"chunks must be {self.hop} samples")
-        self.y_pending = np.concatenate([self.y_pending, y_chunk])
-        self.x_pending = np.concatenate([self.x_pending, x_chunk])
-        self.n_fed += len(y_chunk)
+        chunk = np.stack([y_chunk, x_chunk])
+        if not np.all(np.isfinite(chunk)):
+            raise NumericError("non-finite values in the input chunk")
+        self.pending = np.concatenate([self.pending, chunk], axis=1)
+        self.n_fed += self.hop
         chunks = self._process_ready_frames()
         return np.concatenate(chunks) if chunks else np.zeros(0)
 
@@ -616,12 +596,10 @@ class StreamingSession:
         self.done = True
         total_frames = self.cfg.stft.n_frames(self.n_fed)
         # zero-pad the pending tail so the remaining frames can be formed
-        need = (total_frames - self.frame_idx) * self.hop + (self.win - self.hop) - len(self.y_pending)
-        if need > 0:
-            self.y_pending = np.pad(self.y_pending, (0, need))
-            self.x_pending = np.pad(self.x_pending, (0, need))
+        need = (total_frames - self.frame_idx - 1) * self.hop + self.win - self.pending.shape[1]
+        self.pending = np.pad(self.pending, ((0, 0), (0, max(need, 0))))
         chunks = self._process_ready_frames()
-        while self.emit_idx < total_frames:
-            chunks.append(self._emit(self.emit_idx, last=(self.emit_idx == total_frames - 1)))
-            self.emit_idx += 1
+        if self.frame_idx:  # the last frame's lookahead lies past the signal
+            self._push(0, 0)
+            chunks.append(self._emit(last=True))
         return np.concatenate(chunks) if chunks else np.zeros(0)

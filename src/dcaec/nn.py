@@ -32,9 +32,6 @@ class ComplexPair:
     def shape(self):
         return self.re.shape
 
-    def data(self):
-        return self.re.data, self.im.data
-
 
 @dataclass
 class ConvSpec:
@@ -111,34 +108,29 @@ def _tcorr2d(x, k, spec):
     return out[:, spec.pad_t:full_t - spec.pad_t, spec.pad_f:full_f - spec.pad_f]
 
 
-def _check_kernel(k_pair, spec):
+def _complex(op, w: ComplexPair, k: ComplexPair, spec: ConvSpec) -> ComplexPair:
     expect = (spec.out_ch, spec.in_ch, spec.kernel_t, spec.kernel_f)
-    if tuple(k_pair.shape) != expect:
-        raise ValueError(f"kernel shape {k_pair.shape} != {expect}")
+    if tuple(k.shape) != expect:
+        raise ValueError(f"kernel shape {k.shape} != {expect}")
+    if w.shape[0] != spec.in_ch:
+        raise ValueError("input channel mismatch")
+    re = op(w.re, k.re, spec) - op(w.im, k.im, spec)
+    im = op(w.im, k.re, spec) + op(w.re, k.im, spec)
+    return ComplexPair(re, im)
 
 
 def complex_conv2d(w: ComplexPair, k: ComplexPair, spec: ConvSpec) -> ComplexPair:
     """Complex 2-D cross-correlation over (time, frequency)."""
     if spec.transposed:
         raise ValueError("spec marked transposed; use complex_deconv2d")
-    _check_kernel(k, spec)
-    if w.shape[0] != spec.in_ch:
-        raise ValueError("input channel mismatch")
-    re = _corr2d(w.re, k.re, spec) - _corr2d(w.im, k.im, spec)
-    im = _corr2d(w.im, k.re, spec) + _corr2d(w.re, k.im, spec)
-    return ComplexPair(re, im)
+    return _complex(_corr2d, w, k, spec)
 
 
 def complex_deconv2d(w: ComplexPair, k: ComplexPair, spec: ConvSpec) -> ComplexPair:
     """Complex transposed convolution (adjoint of complex_conv2d)."""
     if not spec.transposed:
         raise ValueError("spec not marked transposed")
-    _check_kernel(k, spec)
-    if w.shape[0] != spec.in_ch:
-        raise ValueError("input channel mismatch")
-    re = _tcorr2d(w.re, k.re, spec) - _tcorr2d(w.im, k.im, spec)
-    im = _tcorr2d(w.im, k.re, spec) + _tcorr2d(w.re, k.im, spec)
-    return ComplexPair(re, im)
+    return _complex(_tcorr2d, w, k, spec)
 
 
 @dataclass
@@ -189,12 +181,10 @@ def _lstm_direction(x, w_ih, w_hh, b_ih, b_hh, state, hidden):
           + (b_ih + b_hh)).reshape(s, b, 4 * hidden)
     whh_t = w_hh.transpose(1, 0).contiguous()
     ys = []
-    hd = hidden
     for t in range(s):
-        g = gx[t] + h @ whh_t
-        hc = lstm_cell(g, c, hd)
-        h = hc[:, :hd].contiguous()
-        c = hc[:, hd:].contiguous()
+        hc = lstm_cell(gx[t] + h @ whh_t, c, hidden)
+        h = hc[:, :hidden].contiguous()
+        c = hc[:, hidden:].contiguous()
         ys.append(h)
     return stack(ys, 0), (h, c)
 
@@ -235,12 +225,9 @@ def lstm_forward(x, spec: LstmSpec, state=None):
 
 def linear(x, w, b):
     """x (..., I) @ w.T + b with w (O, I)."""
-    xv = as_var(x)
-    lead = xv.shape[:-1]
-    i = xv.shape[-1]
-    n = int(np.prod(lead)) if lead else 1
-    y = xv.reshape(n, i) @ as_var(w).transpose(1, 0).contiguous() + as_var(b)
-    return y.reshape(*lead, as_var(w).shape[0])
+    xv, wv = as_var(x), as_var(w)
+    y = xv.reshape(-1, xv.shape[-1]) @ wv.transpose(1, 0).contiguous() + as_var(b)
+    return y.reshape(*xv.shape[:-1], wv.shape[0])
 
 
 def complex_linear(pair: ComplexPair, pr, pi, br, bi) -> ComplexPair:
@@ -263,18 +250,18 @@ class FtLstmParams:
 
 
 def _ft_lstm_part(x, p: FtLstmParams, t_state=None):
-    """One branch of the block; x Var (C, F, T); returns (out, t_state')."""
-    c, f, t = x.shape
+    """One branch of the block; x Var (C, F, B, T); returns (out, t_state')."""
+    c, f, b, t = x.shape
     # F-stage: bidirectional along frequency, each frame independent.
-    xf = x.transpose(1, 2, 0)               # (F, T, C): seq F, batch T
-    u, _ = lstm_seq(xf, p.f_spec)           # (F, T, 2H)
-    u = linear(u, p.proj_f_w, p.proj_f_b)   # (F, T, C)
-    v = x + u.transpose(2, 0, 1)            # residual, (C, F, T)
-    # T-stage: unidirectional along time, each frequency independent.
-    vt = v.transpose(2, 1, 0)               # (T, F, C): seq T, batch F
-    z, t_state = lstm_seq(vt, p.t_spec, t_state)  # (T, F, H)
-    z = linear(z, p.proj_t_w, p.proj_t_b)   # (T, F, C)
-    out = v + z.transpose(2, 1, 0)
+    xf = x.transpose(1, 2, 3, 0).reshape(f, b * t, c)   # seq F, batch B*T
+    u, _ = lstm_seq(xf, p.f_spec)                        # (F, B*T, 2H)
+    u = linear(u, p.proj_f_w, p.proj_f_b)                # (F, B*T, C)
+    v = x + u.reshape(f, b, t, c).transpose(3, 0, 1, 2)  # residual, (C, F, B, T)
+    # T-stage: unidirectional along time, each sequence and frequency independent.
+    vt = v.transpose(3, 2, 1, 0).reshape(t, b * f, c)    # seq T, batch B*F
+    z, t_state = lstm_seq(vt, p.t_spec, t_state)         # (T, B*F, H)
+    z = linear(z, p.proj_t_w, p.proj_t_b)                # (T, B*F, C)
+    out = v + z.reshape(t, b, f, c).transpose(3, 2, 1, 0)
     return out, t_state
 
 
@@ -282,12 +269,16 @@ def ft_lstm_block(h: ComplexPair, params_re: FtLstmParams, params_im: FtLstmPara
                   t_states=None):
     """Frequency-then-time recurrence with residual adds, separate per part.
 
-    h: (C, F, T).  t_states carries the two time-LSTM states for streaming.
+    h: (C, F, T) for one sequence or (C, F, B, T) for B sequences; the output
+    has the same shape.  t_states carries the two time-LSTM states from one
+    block of frames to the next.
     """
+    shape = h.shape
+    c, f, t = shape[0], shape[1], shape[-1]
     st_re, st_im = t_states if t_states is not None else (None, None)
-    out_re, st_re = _ft_lstm_part(h.re, params_re, st_re)
-    out_im, st_im = _ft_lstm_part(h.im, params_im, st_im)
-    return ComplexPair(out_re, out_im), (st_re, st_im)
+    out_re, st_re = _ft_lstm_part(h.re.reshape(c, f, -1, t), params_re, st_re)
+    out_im, st_im = _ft_lstm_part(h.im.reshape(c, f, -1, t), params_im, st_im)
+    return ComplexPair(out_re.reshape(shape), out_im.reshape(shape)), (st_re, st_im)
 
 
 @dataclass
@@ -301,21 +292,22 @@ class ComplexLstmParams:
 
 
 def complex_lstm(x: ComplexPair, p: ComplexLstmParams, states=None):
-    """One complex LSTM layer over x (T, D) with complex dense projection.
+    """One complex LSTM layer over x (T, D), or (T, B, D) for B sequences,
+    with complex dense projection.
 
     out_re = L_r(re) - L_i(im); out_im = L_r(im) + L_i(re).  states is a
     4-tuple of (h, c) pairs: (r on re, r on im, i on re, i on im).
     """
     s = states if states is not None else (None, None, None, None)
-    tlen, d = x.shape
-    xr = x.re.reshape(tlen, 1, d)
-    xi = x.im.reshape(tlen, 1, d)
+    lead = x.shape[:-1]
+    xr = x.re.reshape(lead[0], -1, x.shape[-1])
+    xi = x.im.reshape(lead[0], -1, x.shape[-1])
     rr, s0 = lstm_seq(xr, p.spec_r, s[0])
     ri, s1 = lstm_seq(xi, p.spec_r, s[1])
     ir, s2 = lstm_seq(xr, p.spec_i, s[2])
     ii, s3 = lstm_seq(xi, p.spec_i, s[3])
     h = p.spec_r.hidden_dim
-    pair = ComplexPair((rr - ii).reshape(tlen, h), (ri + ir).reshape(tlen, h))
+    pair = ComplexPair((rr - ii).reshape(*lead, h), (ri + ir).reshape(*lead, h))
     out = complex_linear(pair, p.proj_pr, p.proj_pi, p.proj_br, p.proj_bi)
     return out, (s0, s1, s2, s3)
 
@@ -325,15 +317,18 @@ def deep_filter_apply(coef: ComplexPair, target: ComplexPair) -> ComplexPair:
 
     coef: (9, T, F) with channel 3*(i+1) + (j+1) holding the tap for
     frequency offset i and time offset j, i, j in {-1, 0, +1}.  target:
-    (1, T, F).  Out-of-range neighbours read as zero.
+    (1, T, F), whose frames outside the block read as zero, or (1, T + 2, F)
+    holding one frame of time context either side of the block.
+    Out-of-range frequency neighbours read as zero.
     """
     if coef.shape[0] != 9:
         raise ValueError("deep filter needs 9 coefficient channels")
-    if target.shape[0] != 1 or coef.shape[1:] != target.shape[1:]:
-        raise ValueError("coef/target shape mismatch")
     _, t, f = coef.shape
-    tp_re = target.re.pad(((0, 0), (1, 1), (1, 1)))
-    tp_im = target.im.pad(((0, 0), (1, 1), (1, 1)))
+    if target.shape[0] != 1 or target.shape[1] not in (t, t + 2) or target.shape[2] != f:
+        raise ValueError("coef/target shape mismatch")
+    pad_t = 1 if target.shape[1] == t else 0
+    tp_re = target.re.pad(((0, 0), (pad_t, pad_t), (1, 1)))
+    tp_im = target.im.pad(((0, 0), (pad_t, pad_t), (1, 1)))
     out_re = None
     out_im = None
     for i in (-1, 0, 1):

@@ -11,12 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Var, as_var, log10, stack
-from .dsp import AudioBuffer, idft_matrices, stft
+from .autodiff import Var, as_var, log10
+from .dsp import idft_matrices, stft
 from .metrics import EPS, ChunkPlan
-from .model import ModelConfig, WeightStore, build_mask_graph, bundle_params
-from .nn import (ComplexPair, activation, complex_conv2d, complex_deconv2d,
-                 complex_linear, deep_filter_apply, linear, lstm_seq)
+from .model import ModelConfig, WeightStore, batch_mask_graph
+# no caller since the network moved into model's stages; perfbench/tracing.py patches them
+from .nn import (activation, complex_conv2d, complex_deconv2d,  # noqa: F401
+                 complex_linear, deep_filter_apply, lstm_seq)
+from .nn import ft_lstm_block as _batched_ft_part  # noqa: F401
 
 # ---- differentiable synthesis and objective ------------------------------
 
@@ -28,23 +30,16 @@ def istft_graph(s_re, s_im, cfg):
     frames = frames[:, :cfg.win_len] * cfg.window
     t = frames.shape[0]
     n_out = (t - 1) * cfg.hop + cfg.win_len
-    if cfg.win_len != 2 * cfg.hop:
-        parts = [frames[i].pad(((i * cfg.hop, n_out - i * cfg.hop - cfg.win_len),))
-                 for i in range(t)]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out + p
-        return out
-    # 50% overlap: even and odd frames are internally non-overlapping
-    even = frames[0::2].reshape(-1)
-    out = even.pad(((0, n_out - even.shape[0]),))
-    if t > 1:
-        odd = frames[1::2].reshape(-1)
-        out = out + odd.pad(((cfg.hop, n_out - cfg.hop - odd.shape[0]),))
-    return out
+    # frames k, k + r, k + 2r, ... (r = win_len / hop) do not overlap, so
+    # overlap-add is a sum of r shifted runs of frames
+    r = cfg.win_len // cfg.hop
+    runs = [frames[k::r].reshape(-1) for k in range(min(r, t))]
+    runs = [run.pad(((k * cfg.hop, n_out - k * cfg.hop - run.shape[0]),))
+            for k, run in enumerate(runs)]
+    return sum(runs[1:], runs[0])
 
 
-def si_snr_var(s_hat: Var, s: np.ndarray, mode="standard"):
+def si_snr_var(s_hat: Var, s: np.ndarray):
     """Differentiable SI-SNR of a Var estimate against a constant reference."""
     s = np.asarray(s, dtype=np.float64)
     e_s = float(np.dot(s, s))
@@ -52,19 +47,13 @@ def si_snr_var(s_hat: Var, s: np.ndarray, mode="standard"):
         raise ValueError("zero-energy reference")
     proj = (s_hat * s).sum() * (1.0 / e_s)
     target = proj * s
-    if mode == "standard":
-        err = s_hat - target
-    elif mode == "literal":
-        err = s_hat - as_var(s)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    err = s_hat - target
     num = (target * target).sum() + EPS
     den = (err * err).sum() + EPS
     return log10(num / den) * 10.0
 
 
-def seg_sisnr_var(s_hat: Var, s: np.ndarray, plan: ChunkPlan = None,
-                  mode="standard"):
+def seg_sisnr_var(s_hat: Var, s: np.ndarray, plan: ChunkPlan = None):
     """Differentiable segmented SI-SNR (sum over chunk counts)."""
     if plan is None:
         plan = ChunkPlan()
@@ -80,128 +69,43 @@ def seg_sisnr_var(s_hat: Var, s: np.ndarray, plan: ChunkPlan = None,
             lo, hi = bounds[i], bounds[i + 1]
             if np.mean(s[lo:hi] ** 2) < floor:
                 continue
-            vals.append(si_snr_var(s_hat[lo:hi], s[lo:hi], mode=mode))
+            vals.append(si_snr_var(s_hat[lo:hi], s[lo:hi]))
         if not vals:
             continue
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = acc + v
-        acc = acc * (1.0 / len(vals))
+        acc = sum(vals[1:], vals[0]) * (1.0 / len(vals))
         total = acc if total is None else total + acc
     if total is None:
         raise ValueError("all chunks below the reference-energy threshold")
     return total
 
 
-def example_loss(example, params, cfg: ModelConfig, plan: ChunkPlan = None,
-                 mode="standard"):
-    """Negative Seg-SiSNR of the network output for one scene example."""
-    y_spec = stft(example.y, cfg.stft)
-    x_spec = stft(example.x, cfg.stft)
-    m = build_mask_graph(y_spec, x_spec, params, cfg, check=False)
-    s_re = m.re * y_spec.re - m.im * y_spec.im
-    s_im = m.re * y_spec.im + m.im * y_spec.re
-    s_hat = istft_graph(s_re, s_im, cfg.stft)
-    ref = np.pad(example.s.samples, (0, max(0, s_hat.shape[0] - len(example.s))))
-    ref = ref[:s_hat.shape[0]]
-    return seg_sisnr_var(s_hat, ref, plan, mode) * (-1.0)
-
-
-def _batched_ft_part(x, p, b, t, f):
-    """F-T recurrence branch on x (C, B*T, F) with per-example time sequences."""
-    c = x.shape[0]
-    u, _ = lstm_seq(x.transpose(2, 1, 0), p.f_spec)       # (F, B*T, 2H)
-    u = linear(u, p.proj_f_w, p.proj_f_b)
-    v = x + u.transpose(2, 1, 0)
-    vt = v.reshape(c, b, t, f).transpose(2, 1, 3, 0).reshape(t, b * f, c)
-    z, _ = lstm_seq(vt, p.t_spec)                         # (T, B*F, H)
-    z = linear(z, p.proj_t_w, p.proj_t_b)
-    z = z.reshape(t, b, f, c).transpose(3, 1, 0, 2).reshape(c, b * t, f)
-    return v + z
-
-
-def batched_loss(examples, params, cfg: ModelConfig, plan: ChunkPlan = None,
-                 mode="standard"):
+def batched_loss(examples, params, cfg: ModelConfig, plan: ChunkPlan = None):
     """Mean negative Seg-SiSNR over same-length examples in one graph.
 
-    The convolutions have no time extent (kernel_t = 1), so examples can
-    share the graph concatenated along the frame axis; the recurrent stages
-    run with the examples folded into the batch dimension, keeping every
-    per-example state separate.  Equivalent to averaging example_loss but
-    with the Python-level graph overhead amortized across the batch.
+    The network runs once over the whole batch (see model.batch_mask_graph);
+    only the synthesis and the objective are per example.
     """
-    for s in (*cfg.enc_specs, *cfg.dec_specs):
-        if s.kernel_t != 1 or s.stride_t != 1 or s.pad_t != 0:
-            raise ValueError("batched_loss requires frame-local conv stages")
     y_specs = [stft(ex.y, cfg.stft) for ex in examples]
     x_specs = [stft(ex.x, cfg.stft) for ex in examples]
-    t = y_specs[0].n_frames
-    if any(sp.n_frames != t for sp in y_specs):
-        raise ValueError("examples must have equal length")
     b = len(examples)
-    ft, clstm = bundle_params(params, cfg)
-
-    w = ComplexPair(
-        np.concatenate([np.stack([ys.re, xs.re])
-                        for ys, xs in zip(y_specs, x_specs)], axis=1),
-        np.concatenate([np.stack([ys.im, xs.im])
-                        for ys, xs in zip(y_specs, x_specs)], axis=1))
-    for i, spec in enumerate(cfg.enc_specs):
-        w = complex_conv2d(w, ComplexPair(params[f"enc{i}.kr"], params[f"enc{i}.ki"]), spec)
-        if cfg.activation == "prelu":
-            w = ComplexPair(activation(w.re, "prelu", params[f"enc{i}.alpha_r"]),
-                            activation(w.im, "prelu", params[f"enc{i}.alpha_i"]))
-
-    fb = cfg.bottleneck_bins
-    w = ComplexPair(_batched_ft_part(w.re, ft["re"], b, t, fb),
-                    _batched_ft_part(w.im, ft["im"], b, t, fb))
-
-    n_dec = len(cfg.dec_specs)
-    for i, spec in enumerate(cfg.dec_specs):
-        j = n_dec - 1 - i
-        w = complex_deconv2d(w, ComplexPair(params[f"dec{j}.kr"], params[f"dec{j}.ki"]), spec)
-        if cfg.activation == "prelu" and i < n_dec - 1:
-            w = ComplexPair(activation(w.re, "prelu", params[f"dec{j}.alpha_r"]),
-                            activation(w.im, "prelu", params[f"dec{j}.alpha_i"]))
-
-    # deep filtering has time taps, so it runs per example
-    dfk = ComplexPair(params["df.kr"], params["df.ki"])
-    m_re, m_im = [], []
-    for k in range(b):
-        wk = ComplexPair(w.re[:, k * t:(k + 1) * t, :], w.im[:, k * t:(k + 1) * t, :])
-        coef = complex_conv2d(wk, dfk, cfg.df_spec)
-        if cfg.df_wiring == "decoder":
-            target = wk
-        else:
-            target = ComplexPair(y_specs[k].re[None], y_specs[k].im[None])
-        mk = deep_filter_apply(coef, target)
-        m_re.append(mk.re.reshape(t, cfg.n_bins))
-        m_im.append(mk.im.reshape(t, cfg.n_bins))
-    mr = stack(m_re, 1)   # (T, B, F)
-    mi = stack(m_im, 1)
-
-    for layer in clstm:
-        rr, _ = lstm_seq(mr, layer.spec_r)
-        ri, _ = lstm_seq(mi, layer.spec_r)
-        ir, _ = lstm_seq(mr, layer.spec_i)
-        ii, _ = lstm_seq(mi, layer.spec_i)
-        pair = complex_linear(ComplexPair(rr - ii, ri + ir), layer.proj_pr,
-                              layer.proj_pi, layer.proj_br, layer.proj_bi)
-        mr, mi = pair.re, pair.im
-
+    m = batch_mask_graph(y_specs, x_specs, params, cfg)
+    t, f = y_specs[0].re.shape
+    m_re, m_im = m.re.reshape(t, b, f), m.im.reshape(t, b, f)
     total = None
-    for k, ex in enumerate(examples):
-        ys = y_specs[k]
-        mk_re = mr[:, k, :]
-        mk_im = mi[:, k, :]
-        s_re = mk_re * ys.re - mk_im * ys.im
-        s_im = mk_re * ys.im + mk_im * ys.re
+    for k, (ex, ys) in enumerate(zip(examples, y_specs)):
+        s_re = m_re[:, k] * ys.re - m_im[:, k] * ys.im
+        s_im = m_re[:, k] * ys.im + m_im[:, k] * ys.re
         s_hat = istft_graph(s_re, s_im, cfg.stft)
-        ref = np.pad(ex.s.samples, (0, max(0, s_hat.shape[0] - len(ex.s))))
-        ref = ref[:s_hat.shape[0]]
-        l = seg_sisnr_var(s_hat, ref, plan, mode) * (-1.0)
+        n = s_hat.shape[0]
+        ref = np.pad(ex.s.samples, (0, max(0, n - len(ex.s))))[:n]
+        l = seg_sisnr_var(s_hat, ref, plan) * (-1.0)
         total = l if total is None else total + l
     return total * (1.0 / b)
+
+
+def example_loss(example, params, cfg: ModelConfig, plan: ChunkPlan = None):
+    """Negative Seg-SiSNR of the network output for one scene example."""
+    return batched_loss([example], params, cfg, plan)
 
 
 # ---- backward driver -----------------------------------------------------
@@ -301,17 +205,7 @@ def toy_train(store: WeightStore, cfg: ModelConfig, examples, steps=50,
     for step in range(steps):
         t0 = time.perf_counter()
         params = {k: as_var(v) for k, v in params_np.items()}
-        frame_local = all(s.kernel_t == 1 and s.stride_t == 1 and s.pad_t == 0
-                          for s in (*cfg.enc_specs, *cfg.dec_specs))
-        equal_len = len({len(ex.y) for ex in examples}) == 1
-        if frame_local and equal_len:
-            total = batched_loss(examples, params, cfg, plan)
-        else:
-            total = None
-            for ex in examples:
-                l = example_loss(ex, params, cfg, plan)
-                total = l if total is None else total + l
-            total = total * (1.0 / len(examples))
+        total = batched_loss(examples, params, cfg, plan)
         loss_val = float(total.data)
         if not np.isfinite(loss_val):
             raise FloatingPointError(f"training diverged at step {step}")
@@ -357,21 +251,3 @@ def rel_error(g_ad, g_fd):
     num = np.max(np.abs(g_ad - g_fd))
     den = np.max(np.abs(g_fd)) + 1e-12
     return num / den
-
-
-def check_gradients(build_loss, arrays, h=1e-3):
-    """Compare reverse-mode and finite-difference gradients.
-
-    build_loss(params: name->Var) must return a scalar Var; arrays holds the
-    float64 parameter values (perturbed in place by the checker).
-    """
-    params = {k: as_var(v) for k, v in arrays.items()}
-    loss = build_loss(params)
-    grads = backward(loss, params)
-
-    def f():
-        ps = {k: as_var(v) for k, v in arrays.items()}
-        return float(build_loss(ps).data)
-
-    fd = finite_diff(f, arrays, h=h)
-    return max(rel_error(grads[k], fd[k]) for k in arrays)

@@ -1,13 +1,16 @@
 """Model assembly: shapes, parameter counts, masking, streaming equivalence."""
 
+import gc
+import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dcaec.dsp import RATE, AudioBuffer, ComplexSpec, StftConfig, istft, stft
-from dcaec.model import (MaskSpec, ModelConfig, StreamingSession, WeightError,
-                         WeightStore, apply_mask, build_mask_graph,
+from dcaec.model import (MaskSpec, ModelConfig, NumericError, StreamingSession,
+                         WeightError, WeightStore, apply_mask, build_mask_graph,
                          count_params, expected_tensor_shapes, forward,
                          ideal_crm, init_weights, params_as_vars,
                          validate_store)
@@ -106,6 +109,17 @@ def test_config_dict_round_trip():
     assert PAPER.config_hash() != DESK.config_hash()
 
 
+def test_config_rejects_convolutions_that_mix_frames():
+    enc = DESK.to_dict()
+    enc["enc"][0][3] = 3  # kernel_t
+    with pytest.raises(ValueError, match="frame-local"):
+        ModelConfig.from_dict(enc)
+    df = DESK.to_dict()
+    df["df"][3] = 1  # kernel_t: no lookahead
+    with pytest.raises(ValueError, match="one frame either"):
+        ModelConfig.from_dict(df)
+
+
 def test_forward_silence_gives_silence():
     store = init_weights(DESK, seed=0)
     y = AudioBuffer(np.zeros(RATE))
@@ -181,18 +195,67 @@ def test_ideal_crm_reconstruction():
     assert np.max(err[keep]) < 1e-6
 
 
-def test_streaming_matches_offline():
-    store = init_weights(DESK, seed=0)
+@pytest.mark.parametrize("mode,wiring", [("desk", "decoder"), ("desk", "input"),
+                                         ("paper", "decoder")])
+def test_streaming_matches_offline(mode, wiring):
+    cfg = getattr(ModelConfig, f"{mode}_mode")(df_wiring=wiring)
+    store = init_weights(cfg, seed=0)
     y, x = _signals(seconds=0.5, seed=4)
-    _, offline = forward(y, x, store, DESK)
-    sess = StreamingSession(store, DESK)
-    hop = DESK.stft.hop
+    _, offline = forward(y, x, store, cfg)
+    sess = StreamingSession(store, cfg)
+    hop = cfg.stft.hop
     out = [sess.feed(y.samples[i:i + hop], x.samples[i:i + hop])
            for i in range(0, len(y), hop)]
     out.append(sess.flush())
     streamed = np.concatenate(out)
     assert len(streamed) == len(offline)
     assert np.max(np.abs(streamed - offline.samples)) < 1e-5
+
+
+def test_streaming_non_finite_chunk_raises_and_changes_nothing():
+    store = init_weights(DESK, seed=0)
+    y, x = _signals(seconds=0.3, seed=7)
+    hop = DESK.stft.hop
+    clean = StreamingSession(store, DESK)
+    hit = StreamingSession(store, DESK)
+    for i in range(0, len(y), hop):
+        yc, xc = y.samples[i:i + hop], x.samples[i:i + hop]
+        if i == 10 * hop:
+            y_nan, x_inf = yc.copy(), xc.copy()
+            y_nan[17], x_inf[17] = np.nan, np.inf
+            for bad in ((y_nan, xc), (yc, x_inf)):
+                with pytest.raises(NumericError):
+                    hit.feed(*bad)
+        np.testing.assert_array_equal(hit.feed(yc, xc), clean.feed(yc, xc))
+    np.testing.assert_array_equal(hit.flush(), clean.flush())
+
+
+def test_streaming_memory_stays_flat():
+    store = init_weights(DESK, seed=0)
+    y, x = _signals(seconds=1.0, seed=8)
+    hop = DESK.stft.hop
+    sess = StreamingSession(store, DESK)
+    chunks = itertools.cycle([(y.samples[i:i + hop], x.samples[i:i + hop])
+                              for i in range(0, len(y) - hop + 1, hop)])
+
+    def run(hops):
+        for _ in range(hops):
+            sess.feed(*next(chunks))
+
+    # bounded allocation caches keep filling for the first few hundred hops
+    run(200)
+    hops = 1000
+    tracemalloc.start()
+    try:
+        run(10)  # replace the per-hop state allocated before tracing began
+        gc.collect()  # free lists and cycles are not retained state
+        before = tracemalloc.get_traced_memory()[0]
+        run(hops)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (after - before) / 1024.0 / hops < 0.1
 
 
 def test_streaming_deterministic():
