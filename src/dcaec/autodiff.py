@@ -5,8 +5,12 @@ A Var wraps an ndarray and records the operations applied to it; calling
 order and accumulates gradients into every Var reached.  Non-Var operands are
 treated as constants and receive no gradient.
 
-Gradient recording can be suspended globally with ``no_grad()`` so the same
-kernel code serves both inference and training.
+Vars exist only where gradients are recorded.  Kernels pass their inputs
+through ``lift``: while recording it makes them Vars, under ``no_grad()`` it
+unwraps Vars to their arrays.  The free functions below (``pad``,
+``contiguous``, ``dilate``, ``stack``, ``concat``, ``lstm_cell``) build a
+graph node when an operand is a Var and otherwise do plain numpy, so the same
+kernel code runs on Vars for training and arrays in, arrays out for inference.
 """
 
 import contextlib
@@ -47,7 +51,7 @@ class Var:
     __slots__ = ("data", "grad", "_prev", "_backward")
 
     def __init__(self, data, _prev=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64 if np.asarray(data).dtype.kind != "f" else None)
+        self.data = _float(data)
         self.grad = None
         self._prev = _prev
         self._backward = _backward
@@ -59,6 +63,10 @@ class Var:
     @property
     def ndim(self):
         return self.data.ndim
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     def __repr__(self):
         return f"Var(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -225,7 +233,7 @@ class Var:
 
     def sigmoid(self):
         a = self
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
+        out_data = _sigmoid(a.data)
 
         def bwd(g):
             a._accum(g * out_data * (1.0 - out_data), own=True)
@@ -280,27 +288,19 @@ class Var:
     def pad(self, pad_width):
         """Zero-pad; pad_width as for np.pad."""
         a = self
-        pw = [(int(lo), int(hi)) for lo, hi in pad_width]
-        sl = tuple(slice(lo, lo + n) for (lo, _), n in zip(pw, a.data.shape))
+        out_data, sl = _zero_pad(a.data, pad_width)
 
         def bwd(g):
             a._accum(g[sl])
 
-        return Var._make(np.pad(a.data, pw), (a,), bwd)
+        return Var._make(out_data, (a,), bwd)
 
     def dilate(self, axis, stride):
         """Insert stride-1 zeros between consecutive elements along axis."""
         a = self
         if stride == 1:
             return a
-        shp = list(a.data.shape)
-        n = shp[axis]
-        shp[axis] = (n - 1) * stride + 1
-        idx = [slice(None)] * len(shp)
-        idx[axis] = slice(0, None, stride)
-        idx = tuple(idx)
-        out_data = np.zeros(shp, dtype=a.data.dtype)
-        out_data[idx] = a.data
+        out_data, idx = _zero_dilate(a.data, axis, stride)
 
         def bwd(g):
             a._accum(g[idx])
@@ -352,26 +352,34 @@ class Var:
                 node.grad = None  # interior gradients are no longer needed
 
 
-def lstm_cell(g, c_prev, hidden):
-    """Fused LSTM cell: pre-activation gates g (B, 4H) and previous cell
-    state c_prev (B, H) -> packed (B, 2H) holding [h, c].
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
-    Gate order (input, forget, cell, output).  Fusing the gate math into one
-    node keeps the graph small enough to backpropagate through long
-    sequences without excessive memory.
+
+def lstm_cell(g, c_prev, hidden):
+    """Fused LSTM cell on pre-activation gates g (B, 4H) and the previous
+    cell state c_prev (B, H), gate order (input, forget, cell, output).
+
+    On arrays it returns (h, c).  When an operand is a Var it returns one
+    node, packed (B, 2H) as [h, c]: fusing the gate math keeps the graph
+    small enough to backpropagate through long sequences.
     """
-    gv = as_var(g)
-    cv = as_var(c_prev)
-    gd = gv.data
     h = hidden
-    gi = 1.0 / (1.0 + np.exp(-gd[:, :h]))
-    gf = 1.0 / (1.0 + np.exp(-gd[:, h:2 * h]))
+    if not isinstance(g, Var) and not isinstance(c_prev, Var):
+        s = _sigmoid(g)  # one pass over all gates; the cell block's is unused
+        c = s[:, h:2 * h] * c_prev + s[:, :h] * np.tanh(g[:, 2 * h:3 * h])
+        return s[:, 3 * h:] * np.tanh(c), c
+    gv, cv = as_var(g), as_var(c_prev)
+    gd, c_prev_data = gv.data, cv.data
+    # separate gate arrays: the backward closure holds them until backward
+    # runs, and one pass over all gates would hold the unused cell block too
+    gi = _sigmoid(gd[:, :h])
+    gf = _sigmoid(gd[:, h:2 * h])
     gc = np.tanh(gd[:, 2 * h:3 * h])
-    go = 1.0 / (1.0 + np.exp(-gd[:, 3 * h:]))
-    c = gf * cv.data + gi * gc
+    go = _sigmoid(gd[:, 3 * h:])
+    c = gf * c_prev_data + gi * gc
     th = np.tanh(c)
     out = np.concatenate([go * th, c], axis=1)
-    c_prev_data = cv.data
 
     def bwd(grad):
         gh = grad[:, :h]
@@ -392,14 +400,71 @@ def lstm_cell(g, c_prev, hidden):
 # ---- free functions ------------------------------------------------------
 
 
+def _float(x):
+    """x as an array; non-float dtypes become float64, as in Var."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
+
+
 def as_var(x):
-    # Var.__init__ promotes non-float dtypes and keeps float32/float64 as-is
     return x if isinstance(x, Var) else Var(x)
+
+
+def lift(x):
+    """x as a kernel operand: a Var while gradients record, else an array."""
+    if _GRAD_ENABLED:
+        return as_var(x)
+    return x.data if isinstance(x, Var) else _float(x)
+
+
+def value(x):
+    """The array held by x, a Var or an array."""
+    return x.data if isinstance(x, Var) else x
+
+
+def _zero_pad(a, pad_width):
+    """(zero-padded copy of a, the slice of it that holds a)."""
+    pw = [(int(lo), int(hi)) for lo, hi in pad_width]
+    sl = tuple(slice(lo, lo + n) for (lo, _), n in zip(pw, a.shape))
+    out = np.zeros([lo + n + hi for (lo, hi), n in zip(pw, a.shape)], dtype=a.dtype)
+    out[sl] = a
+    return out, sl
+
+
+def _zero_dilate(a, axis, stride):
+    """(a with stride-1 zeros between elements along axis, the index of a)."""
+    shp = list(a.shape)
+    shp[axis] = (shp[axis] - 1) * stride + 1
+    idx = [slice(None)] * len(shp)
+    idx[axis] = slice(0, None, stride)
+    idx = tuple(idx)
+    out = np.zeros(shp, dtype=a.dtype)
+    out[idx] = a
+    return out, idx
+
+
+def pad(x, pad_width):
+    """Zero-pad x; pad_width as for np.pad."""
+    return x.pad(pad_width) if isinstance(x, Var) else _zero_pad(x, pad_width)[0]
+
+
+def dilate(x, axis, stride):
+    """Insert stride-1 zeros between consecutive elements along axis."""
+    if isinstance(x, Var):
+        return x.dilate(axis, stride)
+    return x if stride == 1 else _zero_dilate(x, axis, stride)[0]
+
+
+def contiguous(x):
+    """x in C order; matmul on strided views is very slow."""
+    return x.contiguous() if isinstance(x, Var) else np.ascontiguousarray(x)
 
 
 def concat(vars_, axis=0):
     vars_ = list(vars_)
-    datas = [v.data if isinstance(v, Var) else np.asarray(v) for v in vars_]
+    if not any(isinstance(v, Var) for v in vars_):
+        return np.concatenate(vars_, axis=axis)
+    datas = [value(v) for v in vars_]
     out_data = np.concatenate(datas, axis=axis)
     sizes = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + sizes)
@@ -416,8 +481,9 @@ def concat(vars_, axis=0):
 
 def stack(vars_, axis=0):
     vars_ = list(vars_)
-    datas = [v.data if isinstance(v, Var) else np.asarray(v) for v in vars_]
-    out_data = np.stack(datas, axis=axis)
+    if not any(isinstance(v, Var) for v in vars_):
+        return np.stack(vars_, axis=axis)
+    out_data = np.stack([value(v) for v in vars_], axis=axis)
 
     def bwd(g):
         for i, v in enumerate(vars_):

@@ -5,6 +5,7 @@ init-weights.  Exit codes: 0 ok, 2 input error, 3 numeric error.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -25,17 +26,32 @@ from .wavio import WavFormatError, read_wav, write_wav
 from .weights_io import WeightFormatError, load_weights, save_weights
 
 
+# streaming per-hop times in `bench` cover at least this much audio
+BENCH_STREAM_SECONDS = 3.0
+
+
 class InputError(ValueError):
     pass
 
 
 def _single_threaded():
+    """Limit BLAS and OpenMP to one thread; does nothing without threadpoolctl
+    (see `_threads_pinned`)."""
     try:
         from threadpoolctl import threadpool_limits
         return threadpool_limits(limits=1)
     except ImportError:
-        import contextlib
         return contextlib.nullcontext()
+
+
+def _threads_pinned():
+    """True when threadpoolctl reports every thread pool it found at one thread."""
+    try:
+        from threadpoolctl import threadpool_info
+    except ImportError:
+        return False
+    pools = threadpool_info()
+    return bool(pools) and all(p["num_threads"] == 1 for p in pools)
 
 
 def _load_model(path):
@@ -236,16 +252,33 @@ def cmd_bench(args):
     n = int(args.seconds * RATE)
     y = AudioBuffer(0.1 * rng.normal(size=n))
     x = AudioBuffer(0.1 * rng.normal(size=n))
+    hop = cfg.stft.hop
+    n_stream = int(max(args.seconds, BENCH_STREAM_SECONDS) * RATE) // hop * hop
+    ys = 0.1 * rng.normal(size=n_stream)
+    xs = 0.1 * rng.normal(size=n_stream)
     with _single_threaded():
+        pinned = _threads_pinned()
         t0 = time.perf_counter()
         forward(y, x, store, cfg)
         wall = time.perf_counter() - t0
-    sess = StreamingSession(store, cfg)
+        sess = StreamingSession(store, cfg)
+        hop_s = []
+        for i in range(0, n_stream, hop):
+            t0 = time.perf_counter()
+            sess.feed(ys[i:i + hop], xs[i:i + hop])
+            hop_s.append(time.perf_counter() - t0)
+    hop_ms = 1000.0 * np.asarray(hop_s)
     rep = {
         "tool_version": __version__,
         "audio_seconds": args.seconds,
         "processing_seconds": wall,
         "rtf": wall / args.seconds,
+        "stream_seconds": n_stream / RATE,
+        "stream_hop_ms_p50": float(np.percentile(hop_ms, 50)),
+        "stream_hop_ms_p99": float(np.percentile(hop_ms, 99)),
+        "stream_hop_ms_max": float(hop_ms.max()),
+        "stream_rtf": float(hop_ms.sum()) / 1000.0 / (n_stream / RATE),
+        "threads_pinned": pinned,
         "latency_samples": sess.algorithmic_latency,
         "latency_ms": 1000.0 * sess.algorithmic_latency / RATE,
         "params": count_params(store),
@@ -308,7 +341,8 @@ def build_parser():
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_traintoy)
 
-    sp = sub.add_parser("bench", help="measure RTF and latency")
+    sp = sub.add_parser("bench", help="measure offline RTF, streaming per-hop times "
+                                      "and latency")
     sp.add_argument("--weights", default=None)
     sp.add_argument("--config", default="paper", choices=["desk", "paper"])
     sp.add_argument("--seconds", type=float, default=10.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .autodiff import as_var, no_grad
+from .autodiff import as_var, no_grad, pad, value
 from .dsp import AudioBuffer, ComplexSpec, StftConfig, istft, stft
 from .nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
                  LstmSpec, activation, complex_conv2d, complex_deconv2d,
@@ -238,10 +238,17 @@ def init_weights(cfg: ModelConfig, seed=None) -> WeightStore:
     return WeightStore(t, meta)
 
 
+# config hash -> {name: shape}; the shapes do not depend on the seed
+_EXPECTED_SHAPES = {}
+
+
 def expected_tensor_shapes(cfg: ModelConfig):
-    """Name -> shape map implied by cfg (via a seeded dry init)."""
-    ref = init_weights(cfg, seed=0)
-    return {k: v.shape for k, v in ref.tensors.items()}
+    """Name -> shape map implied by cfg (via a seeded dry init, once per config)."""
+    key = cfg.config_hash()
+    if key not in _EXPECTED_SHAPES:
+        ref = init_weights(cfg, seed=0)
+        _EXPECTED_SHAPES[key] = {k: v.shape for k, v in ref.tensors.items()}
+    return dict(_EXPECTED_SHAPES[key])
 
 
 def validate_store(store: WeightStore, cfg: ModelConfig):
@@ -293,9 +300,20 @@ def _clstm_params(params, cfg: ModelConfig):
     ) for i in range(cfg.clstm_layers)]
 
 
-def _finite_check(name, pair):
-    if not (np.all(np.isfinite(pair.re.data)) and np.all(np.isfinite(pair.im.data))):
-        raise NumericError(f"non-finite values after layer {name}")
+def _finite_check(where, arrays):
+    if not all(np.isfinite(value(a)).all() for a in arrays):
+        raise NumericError(f"non-finite values {where}")
+
+
+def _check_layer(name, pair):
+    _finite_check(f"after layer {name}", (pair.re, pair.im))
+
+
+def _leaves(states):
+    """The arrays in a nest of state tuples and lists."""
+    if isinstance(states, (tuple, list)):
+        return [a for s in states for a in _leaves(s)]
+    return [] if states is None else [states]
 
 
 # ---- the network -----------------------------------------------------------
@@ -387,7 +405,7 @@ def _framed(x: ComplexPair, b):
     """(C, B*T, F) -> (C, B*(T+2), F): a zero frame either side of each of the
     B sequences."""
     c, n, f = x.shape
-    return ComplexPair(*(v.reshape(c, b, n // b, f).pad(((0, 0), (0, 0), (1, 1), (0, 0)))
+    return ComplexPair(*(pad(v.reshape(c, b, n // b, f), ((0, 0), (0, 0), (1, 1), (0, 0)))
                          .reshape(c, -1, f) for v in (x.re, x.im)))
 
 
@@ -423,14 +441,28 @@ def build_mask_graph(y_spec: ComplexSpec, x_spec: ComplexSpec, params, cfg: Mode
         if collect is not None:
             collect[name] = tuple(pair.shape)
         if check:
-            _finite_check(name, pair)
+            _check_layer(name, pair)
 
     return batch_mask_graph([y_spec], [x_spec], params, cfg, note, dtype)
 
 
 def params_as_vars(store: WeightStore, dtype=np.float64):
-    """Tensors as Vars; float64 for gradient work, float32 for fast inference."""
+    """Tensors as Vars, for gradient work."""
     return {k: as_var(np.asarray(v, dtype=dtype)) for k, v in store.tensors.items()}
+
+
+def inference_params(store: WeightStore):
+    """Tensors as float32 arrays for inference under no_grad.
+
+    Only the recurrent weights w_hh are copied, into Fortran order, so that
+    every LSTM step multiplies by a C-order view of w_hh^T; the other gemms
+    read transposed views of the store's own arrays.
+    """
+    out = {}
+    for name, t in store.tensors.items():
+        t = np.asarray(t, dtype=np.float32)
+        out[name] = np.asfortranarray(t) if name.endswith((".w_hh", ".w_hh_rev")) else t
+    return out
 
 
 def apply_mask(y: ComplexSpec, m: MaskSpec) -> ComplexSpec:
@@ -481,9 +513,9 @@ def forward(y: AudioBuffer, x: AudioBuffer, store: WeightStore, cfg: ModelConfig
     # single precision through the network: ~4x faster on typical CPUs and
     # well inside the mask's accuracy needs; synthesis stays double
     with no_grad():
-        m = build_mask_graph(y_spec, x_spec, params_as_vars(store, np.float32),
-                             cfg, collect=collect, dtype=np.float32)
-    m_re, m_im = _clamp_mask(m.re.data, m.im.data, report)
+        m = build_mask_graph(y_spec, x_spec, inference_params(store), cfg,
+                             collect=collect, dtype=np.float32)
+    m_re, m_im = _clamp_mask(m.re, m.im, report)
     mask = MaskSpec(m_re, m_im)
     s_hat = istft(apply_mask(y_spec, mask))
     return mask, s_hat
@@ -499,13 +531,15 @@ class StreamingSession:
     chunks appear after the algorithmic latency of win_len + hop samples
     (analysis window plus one frame of deep-filter lookahead).  Each frame
     runs the network's two stages with T = 1; the deep filter's three frames
-    of context live in fixed-size rings, so memory stays flat.
+    of context live in fixed-size rings, so memory stays flat.  A frame's
+    layer outputs and carried states are checked for finiteness before the
+    session takes them on.
     """
 
     def __init__(self, store: WeightStore, cfg: ModelConfig):
         validate_store(store, cfg)
         self.cfg = cfg
-        self.params = params_as_vars(store, np.float32)
+        self.params = inference_params(store)
         self.hop = cfg.stft.hop
         self.win = cfg.stft.win_len
         self.pending = np.zeros((2, 0))  # (mic, far-end) samples not yet framed
@@ -514,9 +548,9 @@ class StreamingSession:
         self.t_states = None
         self.clstm_states = None
         # frames tau-1, tau, tau+1 around the next output frame tau, zero
-        # before the signal: decoder output and microphone spectrum
-        self.dec_ring = np.zeros((3, cfg.n_bins), dtype=np.complex64)
-        self.mic_ring = np.zeros((3, cfg.n_bins), dtype=np.complex128)
+        # before the signal: microphone spectrum and decoder output
+        self.rings = (np.zeros((3, cfg.n_bins), dtype=np.complex128),
+                      np.zeros((3, cfg.n_bins), dtype=np.complex64))
         self.ola = np.zeros(self.win)    # overlap-add tail accumulator
         self.done = False
 
@@ -528,39 +562,54 @@ class StreamingSession:
         """(mic, far-end) spectra of a (2, win_len) pair of frames."""
         return np.fft.rfft(frames * self.cfg.stft.window, n=self.cfg.stft.fft_size)
 
-    def _push(self, mic, dec):
-        for ring, frame in ((self.mic_ring, mic), (self.dec_ring, dec)):
-            ring[:-1] = ring[1:]
-            ring[-1] = frame
-        self.frame_idx += 1
-
-    def _mask_frame(self):
-        """Mask for the centre frame of the rings."""
-        dec = self.dec_ring[None]
-        mic = self.mic_ring[None].astype(np.complex64)
-        with no_grad():
-            m, self.clstm_states = mask_stage(
-                ComplexPair(dec.real, dec.imag), ComplexPair(mic.real, mic.imag),
-                1, self.params, self.cfg, self.clstm_states)
-        return m.re.data[0], m.im.data[0]
-
-    def _process_ready_frames(self):
+    def _pushed(self, mic, dec):
+        """The rings with the oldest frame dropped and (mic, dec) appended."""
         out = []
-        while self.pending.shape[1] >= self.win:
-            spec = self._analysis(self.pending[:, :self.win])[:, None]  # (2, 1, F)
+        for ring, frame in zip(self.rings, (mic, dec)):
+            new = np.empty_like(ring)
+            new[:-1] = ring[1:]
+            new[-1] = frame
+            out.append(new)
+        return tuple(out)
+
+    def _mask_frame(self, rings):
+        """Mask of the rings' centre frame and the cLSTM states after it."""
+        mic = rings[0][None].astype(np.complex64)
+        dec = rings[1][None]
+        with no_grad():
+            m, states = mask_stage(
+                ComplexPair(dec.real, dec.imag), ComplexPair(mic.real, mic.imag),
+                1, self.params, self.cfg, self.clstm_states, note=_check_layer)
+        _finite_check("in the cLSTM states", _leaves(states))
+        return m.re[0], m.im[0], states
+
+    def _process_ready_frames(self, pending):
+        """Run every whole frame of pending; the session takes on a frame's
+        state only once the frame has passed its checks."""
+        out = []
+        while pending.shape[1] >= self.win:
+            spec = self._analysis(pending[:, :self.win])[:, None]  # (2, 1, F)
             with no_grad():
-                dec, self.t_states = encode_stage(
+                dec, t_states = encode_stage(
                     ComplexPair(spec.real.astype(np.float32), spec.imag.astype(np.float32)),
-                    1, self.params, self.cfg, self.t_states)
-            self._push(spec[0, 0], dec.re.data[0, 0] + 1j * dec.im.data[0, 0])
-            self.pending = self.pending[:, self.hop:]
-            if self.frame_idx > 1:  # the previous frame has its lookahead
-                out.append(self._emit(last=False))
+                    1, self.params, self.cfg, self.t_states, note=_check_layer)
+            _finite_check("in the T-LSTM states", _leaves(t_states))
+            rings = self._pushed(spec[0, 0], dec.re[0, 0] + 1j * dec.im[0, 0])
+            # the previous frame has its lookahead once a frame follows it
+            mask = self._mask_frame(rings) if self.frame_idx else None
+            pending = pending[:, self.hop:]
+            self.pending, self.t_states, self.rings = pending, t_states, rings
+            self.frame_idx += 1
+            if mask is not None:
+                out.append(self._emit(mask, last=False))
+        self.pending = pending
         return out
 
-    def _emit(self, last):
-        m_re, m_im = _clamp_mask(*self._mask_frame())
-        s = self.mic_ring[1] * (m_re + 1j * m_im)
+    def _emit(self, mask, last):
+        """Overlap-add the masked centre frame; returns the finished samples."""
+        m_re, m_im, self.clstm_states = mask
+        m_re, m_im = _clamp_mask(m_re, m_im)
+        s = self.rings[0][1] * (m_re + 1j * m_im)
         self.ola += np.fft.irfft(s, n=self.cfg.stft.fft_size)[:self.win] * self.cfg.stft.window
         if last:
             chunk, self.ola = self.ola, np.zeros(self.win)
@@ -572,8 +621,9 @@ class StreamingSession:
     def feed(self, y_chunk, x_chunk):
         """Feed aligned hop-sized (160-sample) chunks; returns output samples.
 
-        A chunk with a non-finite sample raises NumericError, as `forward`
-        does, and leaves the session as it was.
+        A chunk with a non-finite sample, or one whose frame turns non-finite
+        inside the network, raises NumericError, as `forward` does, and
+        leaves the session as it was.
         """
         y_chunk = np.asarray(y_chunk, dtype=np.float64).reshape(-1)
         x_chunk = np.asarray(x_chunk, dtype=np.float64).reshape(-1)
@@ -584,9 +634,8 @@ class StreamingSession:
         chunk = np.stack([y_chunk, x_chunk])
         if not np.all(np.isfinite(chunk)):
             raise NumericError("non-finite values in the input chunk")
-        self.pending = np.concatenate([self.pending, chunk], axis=1)
+        chunks = self._process_ready_frames(np.concatenate([self.pending, chunk], axis=1))
         self.n_fed += self.hop
-        chunks = self._process_ready_frames()
         return np.concatenate(chunks) if chunks else np.zeros(0)
 
     def flush(self):
@@ -597,9 +646,9 @@ class StreamingSession:
         total_frames = self.cfg.stft.n_frames(self.n_fed)
         # zero-pad the pending tail so the remaining frames can be formed
         need = (total_frames - self.frame_idx - 1) * self.hop + self.win - self.pending.shape[1]
-        self.pending = np.pad(self.pending, ((0, 0), (0, max(need, 0))))
-        chunks = self._process_ready_frames()
+        chunks = self._process_ready_frames(
+            np.pad(self.pending, ((0, 0), (0, max(need, 0)))))
         if self.frame_idx:  # the last frame's lookahead lies past the signal
-            self._push(0, 0)
-            chunks.append(self._emit(last=True))
+            self.rings = self._pushed(0, 0)
+            chunks.append(self._emit(self._mask_frame(self.rings), last=True))
         return np.concatenate(chunks) if chunks else np.zeros(0)

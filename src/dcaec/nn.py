@@ -5,16 +5,18 @@ convolution with kernel K = Kr + j*Ki applied to W = Wr + j*Wi is
 
     H = (Kr*Wr - Ki*Wi) + j(Kr*Wi + Ki*Wr)
 
-where * is a real cross-correlation.  All kernels accept either plain numpy
-arrays or autodiff Vars and return Vars, so the same code path serves
-inference and training.
+where * is a real cross-correlation.  Every kernel lifts its inputs with
+`autodiff.lift`: while gradients record they become Vars and the kernel
+returns Vars; under `no_grad` the kernel runs on plain arrays and returns
+arrays, building no graph.  One code path serves inference and training.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Var, as_var, concat, lstm_cell, stack
+from .autodiff import (Var, concat, contiguous, dilate, lift, lstm_cell, pad,
+                       stack, value)
 
 
 @dataclass
@@ -23,8 +25,8 @@ class ComplexPair:
     im: object
 
     def __post_init__(self):
-        self.re = as_var(self.re)
-        self.im = as_var(self.im)
+        self.re = lift(self.re)
+        self.im = lift(self.im)
         if self.re.shape != self.im.shape:
             raise ValueError("re/im shape mismatch")
 
@@ -70,14 +72,14 @@ def _corr2d(x, k, spec):
     f_out = spec.f_out(f_in)
     if f_out < 1 or t_out < 1:
         raise ValueError("output extent < 1")
-    xp = x.pad(((0, 0), (spec.pad_t, spec.pad_t), (spec.pad_f, spec.pad_f)))
+    xp = pad(x, ((0, 0), (spec.pad_t, spec.pad_t), (spec.pad_f, spec.pad_f)))
     out = None
     for dt in range(spec.kernel_t):
         for df in range(spec.kernel_f):
             xs = xp[:,
                     dt:dt + spec.stride_t * t_out:spec.stride_t,
                     df:df + spec.stride_f * f_out:spec.stride_f]
-            kt = k[:, :, dt, df].contiguous()  # (C_out, C_in)
+            kt = contiguous(k[:, :, dt, df])  # (C_out, C_in)
             contrib = (kt @ xs.reshape(c_in, t_out * f_out)).reshape(
                 spec.out_ch, t_out, f_out)
             out = contrib if out is None else out + contrib
@@ -93,16 +95,16 @@ def _tcorr2d(x, k, spec):
         raise ValueError("output extent < 1")
     full_t = (t_in - 1) * spec.stride_t + spec.kernel_t
     full_f = (f_in - 1) * spec.stride_f + spec.kernel_f
-    xd = x.dilate(1, spec.stride_t).dilate(2, spec.stride_f)
+    xd = dilate(dilate(x, 1, spec.stride_t), 2, spec.stride_f)
     out = None
     for dt in range(spec.kernel_t):
         for df in range(spec.kernel_f):
-            kt = k[:, :, dt, df].contiguous()  # (C_out, C_in), transposed output rows
+            kt = contiguous(k[:, :, dt, df])  # (C_out, C_in), transposed output rows
             contrib = (kt @ xd.reshape(c_in, -1)).reshape(
                 spec.out_ch, xd.shape[1], xd.shape[2])
-            contrib = contrib.pad(((0, 0),
-                                   (dt, full_t - dt - xd.shape[1]),
-                                   (df, full_f - df - xd.shape[2])))
+            contrib = pad(contrib, ((0, 0),
+                                    (dt, full_t - dt - xd.shape[1]),
+                                    (df, full_f - df - xd.shape[2])))
             out = contrib if out is None else out + contrib
     # crop the configured padding
     return out[:, spec.pad_t:full_t - spec.pad_t, spec.pad_f:full_f - spec.pad_f]
@@ -154,8 +156,7 @@ class LstmSpec:
         shapes = {"w_ih": (4 * h, i), "w_hh": (4 * h, h), "b_ih": (4 * h,), "b_hh": (4 * h,)}
         for n in names:
             base = n[:-4] if n.endswith("_rev") else n
-            w = self.weights[n]
-            got = w.shape if not isinstance(w, Var) else w.data.shape
+            got = self.weights[n].shape
             if tuple(got) != shapes[base]:
                 raise ValueError(f"{n}: shape {got} != {shapes[base]}")
 
@@ -164,27 +165,37 @@ class LstmSpec:
         return self.hidden_dim * (2 if self.bidirectional else 1)
 
 
+def _wt(w):
+    """w (O, I) transposed for x @ w^T.  On an array it is a view, which BLAS
+    reads in either order; a Var keeps the C-order copy node it has always
+    had, so that training graphs do not change."""
+    wt = w.transpose(1, 0)
+    return wt.contiguous() if isinstance(wt, Var) else wt
+
+
 def _lstm_direction(x, w_ih, w_hh, b_ih, b_hh, state, hidden):
     """Run one direction of the recurrence.
 
-    x: Var (S, B, I).  Returns (y (S, B, H), (h, c)) with h, c shaped (B, H).
+    x: (S, B, I).  Returns (y (S, B, H), (h, c)) with h, c shaped (B, H).
+    A w_hh in Fortran order (see model.inference_params) makes the per-step
+    recurrent operand a C-order view that is never copied.
     """
+    x, w_ih, w_hh, b_ih, b_hh = (lift(v) for v in (x, w_ih, w_hh, b_ih, b_hh))
     s, b, i = x.shape
-    w_ih, w_hh = as_var(w_ih), as_var(w_hh)
-    b_ih, b_hh = as_var(b_ih), as_var(b_hh)
     if state is None:
-        h = as_var(np.zeros((b, hidden), dtype=x.data.dtype))
-        c = as_var(np.zeros((b, hidden), dtype=x.data.dtype))
+        h = lift(np.zeros((b, hidden), dtype=x.dtype))
+        c = lift(np.zeros((b, hidden), dtype=x.dtype))
     else:
-        h, c = as_var(state[0]), as_var(state[1])
-    gx = (x.reshape(s * b, i) @ w_ih.transpose(1, 0).contiguous()
-          + (b_ih + b_hh)).reshape(s, b, 4 * hidden)
-    whh_t = w_hh.transpose(1, 0).contiguous()
+        h, c = lift(state[0]), lift(state[1])
+    gx = (x.reshape(s * b, i) @ _wt(w_ih) + (b_ih + b_hh)).reshape(s, b, 4 * hidden)
+    whh_t = contiguous(_wt(w_hh))
     ys = []
     for t in range(s):
-        hc = lstm_cell(gx[t] + h @ whh_t, c, hidden)
-        h = hc[:, :hidden].contiguous()
-        c = hc[:, hidden:].contiguous()
+        out = lstm_cell(gx[t] + h @ whh_t, c, hidden)
+        if isinstance(out, Var):  # one node holding [h, c]
+            h, c = contiguous(out[:, :hidden]), contiguous(out[:, hidden:])
+        else:
+            h, c = out
         ys.append(h)
     return stack(ys, 0), (h, c)
 
@@ -210,12 +221,12 @@ def lstm_seq(x, spec: LstmSpec, state=None):
 
 def lstm_forward(x, spec: LstmSpec, state=None):
     """LSTM over a single sequence x (S, input_dim); returns (y, state')."""
-    xv = as_var(x)
+    xv = lift(x)
     s, i = xv.shape
     if i != spec.input_dim:
         raise ValueError(f"input dim {i} != {spec.input_dim}")
     if state is not None:
-        state = (as_var(state[0]).reshape(1, -1), as_var(state[1]).reshape(1, -1))
+        state = (lift(state[0]).reshape(1, -1), lift(state[1]).reshape(1, -1))
     y, st = lstm_seq(xv.reshape(s, 1, i), spec, state)
     y = y.reshape(s, spec.out_dim)
     if st is not None:
@@ -225,15 +236,15 @@ def lstm_forward(x, spec: LstmSpec, state=None):
 
 def linear(x, w, b):
     """x (..., I) @ w.T + b with w (O, I)."""
-    xv, wv = as_var(x), as_var(w)
-    y = xv.reshape(-1, xv.shape[-1]) @ wv.transpose(1, 0).contiguous() + as_var(b)
-    return y.reshape(*xv.shape[:-1], wv.shape[0])
+    x, w = lift(x), lift(w)
+    y = x.reshape(-1, x.shape[-1]) @ _wt(w) + lift(b)
+    return y.reshape(*x.shape[:-1], w.shape[0])
 
 
 def complex_linear(pair: ComplexPair, pr, pi, br, bi) -> ComplexPair:
     """Complex dense layer: (re + j im) @ (Pr + j Pi)^T + (br + j bi)."""
-    re = linear(pair.re, pr, br) - linear(pair.im, pi, np.zeros_like(as_var(bi).data))
-    im = linear(pair.im, pr, bi) + linear(pair.re, pi, np.zeros_like(as_var(br).data))
+    re = linear(pair.re, pr, br) - linear(pair.im, pi, np.zeros_like(value(bi)))
+    im = linear(pair.im, pr, bi) + linear(pair.re, pi, np.zeros_like(value(br)))
     return ComplexPair(re, im)
 
 
@@ -327,8 +338,8 @@ def deep_filter_apply(coef: ComplexPair, target: ComplexPair) -> ComplexPair:
     if target.shape[0] != 1 or target.shape[1] not in (t, t + 2) or target.shape[2] != f:
         raise ValueError("coef/target shape mismatch")
     pad_t = 1 if target.shape[1] == t else 0
-    tp_re = target.re.pad(((0, 0), (pad_t, pad_t), (1, 1)))
-    tp_im = target.im.pad(((0, 0), (pad_t, pad_t), (1, 1)))
+    tp_re = pad(target.re, ((0, 0), (pad_t, pad_t), (1, 1)))
+    tp_im = pad(target.im, ((0, 0), (pad_t, pad_t), (1, 1)))
     out_re = None
     out_im = None
     for i in (-1, 0, 1):
@@ -347,14 +358,14 @@ def deep_filter_apply(coef: ComplexPair, target: ComplexPair) -> ComplexPair:
 
 def prelu(x, alpha):
     """PReLU with per-channel slope alpha (broadcast against x)."""
-    xv = as_var(x)
-    mask = (xv.data >= 0).astype(xv.data.dtype)
-    return xv * mask + as_var(alpha) * (xv * (1.0 - mask))
+    x = lift(x)
+    mask = (value(x) >= 0).astype(x.dtype)
+    return x * mask + lift(alpha) * (x * (1.0 - mask))
 
 
 def activation(x, kind, alpha=None):
     if kind == "identity":
-        return as_var(x)
+        return lift(x)
     if kind == "prelu":
         return prelu(x, alpha)
     raise ValueError(f"unknown activation kind {kind!r}")

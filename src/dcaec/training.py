@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Var, as_var, log10
+from .autodiff import Var, as_var, log10, pad
 from .dsp import idft_matrices, stft
 from .metrics import EPS, ChunkPlan
 from .model import ModelConfig, WeightStore, batch_mask_graph
@@ -34,7 +34,7 @@ def istft_graph(s_re, s_im, cfg):
     # overlap-add is a sum of r shifted runs of frames
     r = cfg.win_len // cfg.hop
     runs = [frames[k::r].reshape(-1) for k in range(min(r, t))]
-    runs = [run.pad(((k * cfg.hop, n_out - k * cfg.hop - run.shape[0]),))
+    runs = [pad(run, ((k * cfg.hop, n_out - k * cfg.hop - run.shape[0]),))
             for k, run in enumerate(runs)]
     return sum(runs[1:], runs[0])
 

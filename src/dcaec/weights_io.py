@@ -71,7 +71,8 @@ def load_weights(path) -> WeightStore:
         blob = f.read()
     if len(blob) < len(MAGIC) + 16 or blob[:len(MAGIC)] != MAGIC:
         raise WeightFormatError("not a weight file (bad magic)")
-    payload, check = blob[len(MAGIC):-8], blob[-8:]
+    # a view, so that the tensors below are the only copy of the values
+    payload, check = memoryview(blob)[len(MAGIC):-8], blob[-8:]
     (stored,) = struct.unpack("<Q", check)
     if _checksum(payload) != stored:
         raise WeightFormatError("checksum mismatch")
@@ -93,7 +94,7 @@ def load_weights(path) -> WeightStore:
     meta = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = bytes(take(name_len)).decode("utf-8")
         (rank,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         n = int(np.prod(dims)) if dims else 1

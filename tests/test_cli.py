@@ -172,3 +172,11 @@ def test_bench_report(desk_weights, capsys):
     assert rep["params"] == 72_028
     assert rep["latency_samples"] == 480
     assert rep["rtf"] > 0
+    assert rep["stream_seconds"] >= 3.0
+    assert 0 < rep["stream_hop_ms_p50"] <= rep["stream_hop_ms_p99"] <= rep["stream_hop_ms_max"]
+    assert rep["stream_rtf"] > 0
+    assert isinstance(rep["threads_pinned"], bool)
+    try:
+        import threadpoolctl  # noqa: F401
+    except ImportError:
+        assert rep["threads_pinned"] is False

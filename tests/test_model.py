@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dcaec import autodiff, model
+from dcaec.autodiff import no_grad
 from dcaec.dsp import RATE, AudioBuffer, ComplexSpec, StftConfig, istft, stft
 from dcaec.model import (MaskSpec, ModelConfig, NumericError, StreamingSession,
                          WeightError, WeightStore, apply_mask, build_mask_graph,
@@ -93,6 +95,24 @@ def test_validate_store_rejects_bad_shapes():
     extra.tensors["bogus"] = np.zeros(3)
     with pytest.raises(WeightError, match="bogus"):
         validate_store(extra, DESK)
+
+
+def test_validate_store_reuses_expected_shapes(monkeypatch):
+    store = init_weights(DESK, seed=0)
+    validate_store(store, DESK)
+
+    def no_dry_init(*args, **kwargs):
+        raise AssertionError("validate_store rebuilt the weights")
+
+    monkeypatch.setattr(model, "init_weights", no_dry_init)
+    validate_store(store, DESK)
+    for name, bad in (("df.kr", np.zeros((1, 1, 1, 1), dtype=np.float32)),
+                      ("bogus", np.zeros(3)), ("df.ki", None)):
+        tensors = dict(store.tensors, **{name: bad})
+        if bad is None:
+            del tensors[name]
+        with pytest.raises(WeightError, match=name):
+            validate_store(WeightStore(tensors), DESK)
 
 
 def test_expected_shapes_cover_all_tensors():
@@ -228,6 +248,87 @@ def test_streaming_non_finite_chunk_raises_and_changes_nothing():
                     hit.feed(*bad)
         np.testing.assert_array_equal(hit.feed(yc, xc), clean.feed(yc, xc))
     np.testing.assert_array_equal(hit.flush(), clean.flush())
+
+
+def test_streaming_overflow_raises_and_changes_nothing():
+    """A finite chunk that overflows float32 inside the network is refused
+    whole: the session goes on as if it had never been fed."""
+    store = init_weights(DESK, seed=0)
+    y, x = _signals(seconds=0.3, seed=9)
+    hop = DESK.stft.hop
+    clean = StreamingSession(store, DESK)
+    hit = StreamingSession(store, DESK)
+    for i in range(0, len(y), hop):
+        yc, xc = y.samples[i:i + hop], x.samples[i:i + hop]
+        if i == 10 * hop:
+            with pytest.raises(NumericError):
+                hit.feed(np.full(hop, 1e39), xc)
+        np.testing.assert_array_equal(hit.feed(yc, xc), clean.feed(yc, xc))
+    np.testing.assert_array_equal(hit.flush(), clean.flush())
+
+
+def _states_finite(states):
+    if isinstance(states, (tuple, list)):
+        return all(_states_finite(s) for s in states)
+    return states is None or bool(np.all(np.isfinite(states)))
+
+
+def test_streaming_non_finite_weight_raises_like_forward():
+    store = init_weights(DESK, seed=0)
+    store.tensors["clstm0.proj.br"][3] = np.nan
+    y, x = _signals(seconds=0.2, seed=10)
+    with pytest.raises(NumericError):
+        forward(y, x, store, DESK)
+    sess = StreamingSession(store, DESK)
+    hop = DESK.stft.hop
+    raised = 0
+    for i in range(0, len(y), hop):
+        try:
+            out = sess.feed(y.samples[i:i + hop], x.samples[i:i + hop])
+        except NumericError:
+            raised += 1
+        else:
+            assert np.all(np.isfinite(out))
+        assert _states_finite(sess.t_states) and _states_finite(sess.clstm_states)
+    # every frame from the first one with a mask on
+    assert raised == len(y) // hop - 2
+
+
+def test_inference_builds_no_vars(monkeypatch):
+    made = []
+    init = autodiff.Var.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff.Var, "__init__", counting)
+    store = init_weights(DESK, seed=0)
+    y, x = _signals(seconds=0.2, seed=11)
+    forward(y, x, store, DESK)
+    sess = StreamingSession(store, DESK)
+    hop = DESK.stft.hop
+    for i in range(0, len(y), hop):
+        sess.feed(y.samples[i:i + hop], x.samples[i:i + hop])
+    sess.flush()
+    assert not made
+
+
+@pytest.mark.parametrize("wiring", ["decoder", "input"])
+def test_mask_graph_without_recording_matches_graph(wiring):
+    cfg = ModelConfig.desk_mode(df_wiring=wiring)
+    store = init_weights(cfg, seed=0)
+    y, x = _signals(seconds=0.3, seed=12)
+    ys, xs = stft(y, cfg.stft), stft(x, cfg.stft)
+    graph = build_mask_graph(ys, xs, params_as_vars(store), cfg)
+    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in store.tensors.items()}
+    with no_grad():
+        plain = build_mask_graph(ys, xs, arrays, cfg)
+    assert isinstance(graph.re, autodiff.Var)
+    assert isinstance(plain.re, np.ndarray)
+    assert plain.re.dtype == np.float64
+    assert np.max(np.abs(plain.re - graph.re.data)) <= 1e-12
+    assert np.max(np.abs(plain.im - graph.im.data)) <= 1e-12
 
 
 def test_streaming_memory_stays_flat():
