@@ -8,9 +8,14 @@ treated as constants and receive no gradient.
 Vars exist only where gradients are recorded.  Kernels pass their inputs
 through ``lift``: while recording it makes them Vars, under ``no_grad()`` it
 unwraps Vars to their arrays.  The free functions below (``pad``,
-``contiguous``, ``dilate``, ``stack``, ``concat``, ``lstm_cell``) build a
-graph node when an operand is a Var and otherwise do plain numpy, so the same
-kernel code runs on Vars for training and arrays in, arrays out for inference.
+``contiguous``, ``dilate``, ``stack``, ``concat``, ``lstm_cell``) are the only
+definitions of their ops: each builds a graph node when an operand is a Var
+and otherwise does plain numpy, so the same kernel code runs on Vars for
+training and arrays in, arrays out for inference.  ``lstm_cell`` returns
+``(h, c)`` on both.
+
+Var sets ``__array_ufunc__ = None``, so an ndarray on the left of ``+``,
+``-``, ``*``, ``/`` or ``@`` defers to the Var's reflected operator.
 """
 
 import contextlib
@@ -49,6 +54,7 @@ class Var:
     """Node in the autodiff graph holding an ndarray value."""
 
     __slots__ = ("data", "grad", "_prev", "_backward")
+    __array_ufunc__ = None  # ndarray <op> Var calls Var's reflected op
 
     def __init__(self, data, _prev=(), _backward=None):
         self.data = _float(data)
@@ -245,35 +251,14 @@ class Var:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        old = a.data.shape
-
-        def bwd(g):
-            a._accum(g.reshape(old))
-
-        return Var._make(a.data.reshape(shape), (a,), bwd)
-
-    def contiguous(self):
-        """Value copied to C order; matmul on strided views is very slow."""
-        a = self
-        if a.data.flags.c_contiguous:
-            return a
-
-        def bwd(g):
-            a._accum(g)
-
-        return Var._make(np.ascontiguousarray(a.data), (a,), bwd)
+        old = self.data.shape
+        return _unary(self, self.data.reshape(shape), lambda g: g.reshape(old))
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        a = self
         inv = np.argsort(axes)
-
-        def bwd(g):
-            a._accum(g.transpose(inv))
-
-        return Var._make(a.data.transpose(axes), (a,), bwd)
+        return _unary(self, self.data.transpose(axes), lambda g: g.transpose(inv))
 
     def __getitem__(self, idx):
         a = self
@@ -284,28 +269,6 @@ class Var:
             a.grad[idx] += g
 
         return Var._make(a.data[idx], (a,), bwd)
-
-    def pad(self, pad_width):
-        """Zero-pad; pad_width as for np.pad."""
-        a = self
-        out_data, sl = _zero_pad(a.data, pad_width)
-
-        def bwd(g):
-            a._accum(g[sl])
-
-        return Var._make(out_data, (a,), bwd)
-
-    def dilate(self, axis, stride):
-        """Insert stride-1 zeros between consecutive elements along axis."""
-        a = self
-        if stride == 1:
-            return a
-        out_data, idx = _zero_dilate(a.data, axis, stride)
-
-        def bwd(g):
-            a._accum(g[idx])
-
-        return Var._make(out_data, (a,), bwd)
 
     # ---- reductions ------------------------------------------------------
 
@@ -360,9 +323,9 @@ def lstm_cell(g, c_prev, hidden):
     """Fused LSTM cell on pre-activation gates g (B, 4H) and the previous
     cell state c_prev (B, H), gate order (input, forget, cell, output).
 
-    On arrays it returns (h, c).  When an operand is a Var it returns one
-    node, packed (B, 2H) as [h, c]: fusing the gate math keeps the graph
-    small enough to backpropagate through long sequences.
+    Returns (h, c).  When an operand is a Var they are two nodes, c from
+    (g, c_prev) and h from c: fusing the gate math keeps the graph small
+    enough to backpropagate through long sequences.
     """
     h = hidden
     if not isinstance(g, Var) and not isinstance(c_prev, Var):
@@ -371,7 +334,7 @@ def lstm_cell(g, c_prev, hidden):
         return s[:, 3 * h:] * np.tanh(c), c
     gv, cv = as_var(g), as_var(c_prev)
     gd, c_prev_data = gv.data, cv.data
-    # separate gate arrays: the backward closure holds them until backward
+    # separate gate arrays: the backward closures hold them until backward
     # runs, and one pass over all gates would hold the unused cell block too
     gi = _sigmoid(gd[:, :h])
     gf = _sigmoid(gd[:, h:2 * h])
@@ -379,22 +342,25 @@ def lstm_cell(g, c_prev, hidden):
     go = _sigmoid(gd[:, 3 * h:])
     c = gf * c_prev_data + gi * gc
     th = np.tanh(c)
-    out = np.concatenate([go * th, c], axis=1)
+    # h's backward runs before c's (c is h's parent) and leaves the output
+    # gate's gradient here; it stays 0 when h is not reached
+    g_go = [0.0]
 
-    def bwd(grad):
-        gh = grad[:, :h]
-        gc_out = grad[:, h:]
-        g_go = gh * th
-        g_c = gc_out + gh * go * (1.0 - th * th)
+    def bwd_c(g_c):
         gg = np.empty_like(gd)
         gg[:, :h] = (g_c * gc) * gi * (1.0 - gi)
         gg[:, h:2 * h] = (g_c * c_prev_data) * gf * (1.0 - gf)
         gg[:, 2 * h:3 * h] = (g_c * gi) * (1.0 - gc * gc)
-        gg[:, 3 * h:] = g_go * go * (1.0 - go)
+        gg[:, 3 * h:] = g_go[0] * go * (1.0 - go)
         gv._accum(gg, own=True)
         cv._accum(g_c * gf, own=True)
 
-    return Var._make(out, (gv, cv), bwd)
+    def bwd_h(gh):
+        g_go[0] = gh * th
+        c_node._accum(gh * go * (1.0 - th * th), own=True)
+
+    c_node = Var._make(c, (gv, cv), bwd_c)
+    return Var._make(go * th, (c_node,), bwd_h), c_node
 
 
 # ---- free functions ------------------------------------------------------
@@ -422,17 +388,29 @@ def value(x):
     return x.data if isinstance(x, Var) else x
 
 
-def _zero_pad(a, pad_width):
-    """(zero-padded copy of a, the slice of it that holds a)."""
+def _unary(x, out, grad):
+    """out itself for an array x; for a Var x, a node whose backward hands
+    grad(g) to x."""
+    if not isinstance(x, Var):
+        return out
+    return Var._make(out, (x,), lambda g: x._accum(grad(g)))
+
+
+def pad(x, pad_width):
+    """Zero-pad x; pad_width as for np.pad."""
+    a = value(x)
     pw = [(int(lo), int(hi)) for lo, hi in pad_width]
     sl = tuple(slice(lo, lo + n) for (lo, _), n in zip(pw, a.shape))
     out = np.zeros([lo + n + hi for (lo, hi), n in zip(pw, a.shape)], dtype=a.dtype)
     out[sl] = a
-    return out, sl
+    return _unary(x, out, lambda g: g[sl])
 
 
-def _zero_dilate(a, axis, stride):
-    """(a with stride-1 zeros between elements along axis, the index of a)."""
+def dilate(x, axis, stride):
+    """Insert stride-1 zeros between consecutive elements along axis."""
+    if stride == 1:
+        return x
+    a = value(x)
     shp = list(a.shape)
     shp[axis] = (shp[axis] - 1) * stride + 1
     idx = [slice(None)] * len(shp)
@@ -440,24 +418,14 @@ def _zero_dilate(a, axis, stride):
     idx = tuple(idx)
     out = np.zeros(shp, dtype=a.dtype)
     out[idx] = a
-    return out, idx
-
-
-def pad(x, pad_width):
-    """Zero-pad x; pad_width as for np.pad."""
-    return x.pad(pad_width) if isinstance(x, Var) else _zero_pad(x, pad_width)[0]
-
-
-def dilate(x, axis, stride):
-    """Insert stride-1 zeros between consecutive elements along axis."""
-    if isinstance(x, Var):
-        return x.dilate(axis, stride)
-    return x if stride == 1 else _zero_dilate(x, axis, stride)[0]
+    return _unary(x, out, lambda g: g[idx])
 
 
 def contiguous(x):
     """x in C order; matmul on strided views is very slow."""
-    return x.contiguous() if isinstance(x, Var) else np.ascontiguousarray(x)
+    if isinstance(x, Var) and x.data.flags.c_contiguous:
+        return x
+    return _unary(x, np.ascontiguousarray(value(x)), lambda g: g)
 
 
 def concat(vars_, axis=0):

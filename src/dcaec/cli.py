@@ -34,24 +34,19 @@ class InputError(ValueError):
     pass
 
 
+@contextlib.contextmanager
 def _single_threaded():
-    """Limit BLAS and OpenMP to one thread; does nothing without threadpoolctl
-    (see `_threads_pinned`)."""
+    """Limit BLAS and OpenMP to one thread.  Yields whether the limit holds:
+    True when threadpoolctl reports every thread pool it found at one thread;
+    False without threadpoolctl, which leaves thread counts as they are."""
     try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=1)
+        from threadpoolctl import threadpool_info, threadpool_limits
     except ImportError:
-        return contextlib.nullcontext()
-
-
-def _threads_pinned():
-    """True when threadpoolctl reports every thread pool it found at one thread."""
-    try:
-        from threadpoolctl import threadpool_info
-    except ImportError:
-        return False
-    pools = threadpool_info()
-    return bool(pools) and all(p["num_threads"] == 1 for p in pools)
+        yield False
+        return
+    with threadpool_limits(limits=1):
+        pools = threadpool_info()
+        yield bool(pools) and all(p["num_threads"] == 1 for p in pools)
 
 
 def _load_model(path):
@@ -84,7 +79,7 @@ def cmd_process(args):
     rep = {"tool_version": __version__, "config_hash": cfg.config_hash(),
            "mode": "streaming" if args.streaming else "offline"}
     t0 = time.perf_counter()
-    with _single_threaded():
+    with _single_threaded() as pinned:
         if args.streaming:
             n = max(len(mic), len(far))
             pad = (-n) % cfg.stft.hop
@@ -105,6 +100,7 @@ def cmd_process(args):
     rep["processing_seconds"] = wall
     rep["audio_seconds"] = mic.duration
     rep["clipped_samples"] = clipped
+    rep["threads_pinned"] = pinned
     _print_report(rep)
 
 
@@ -232,14 +228,14 @@ def cmd_traintoy(args):
     def log_fn(rec):
         print(json.dumps(rec, sort_keys=True))
 
-    with _single_threaded():
+    with _single_threaded() as pinned:
         trained, log = toy_train(store, cfg, examples, steps=args.steps,
                                  lr=args.lr, log_fn=log_fn)
     if args.out:
         save_weights(args.out, trained)
         print(f"saved trained weights to {args.out}")
     print(f"loss {log[0]['loss']:.3f} -> {log[-1]['loss']:.3f} "
-          f"over {args.steps} steps")
+          f"over {args.steps} steps (threads_pinned: {str(pinned).lower()})")
 
 
 def cmd_bench(args):
@@ -256,8 +252,7 @@ def cmd_bench(args):
     n_stream = int(max(args.seconds, BENCH_STREAM_SECONDS) * RATE) // hop * hop
     ys = 0.1 * rng.normal(size=n_stream)
     xs = 0.1 * rng.normal(size=n_stream)
-    with _single_threaded():
-        pinned = _threads_pinned()
+    with _single_threaded() as pinned:
         t0 = time.perf_counter()
         forward(y, x, store, cfg)
         wall = time.perf_counter() - t0

@@ -430,18 +430,17 @@ def batch_mask_graph(y_specs, x_specs, params, cfg: ModelConfig, note=_no_note,
 
 
 def build_mask_graph(y_spec: ComplexSpec, x_spec: ComplexSpec, params, cfg: ModelConfig,
-                     collect=None, check=True, dtype=np.float64):
+                     collect=None, dtype=np.float64):
     """Run the network on stacked (Y, X) spectra; returns mask ComplexPair (T, F).
 
     params: flat name -> Var/ndarray map (expected to match dtype).  collect:
     optional dict that receives every intermediate activation shape, keyed by
-    layer name.  check: raise NumericError on the first non-finite layer.
+    layer name.  Raises NumericError on the first non-finite layer.
     """
     def note(name, pair):
         if collect is not None:
             collect[name] = tuple(pair.shape)
-        if check:
-            _check_layer(name, pair)
+        _check_layer(name, pair)
 
     return batch_mask_graph([y_spec], [x_spec], params, cfg, note, dtype)
 

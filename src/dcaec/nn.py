@@ -148,18 +148,6 @@ class LstmSpec:
     bidirectional: bool = False
     weights: dict = field(default_factory=dict)
 
-    def validate(self):
-        names = ["w_ih", "w_hh", "b_ih", "b_hh"]
-        if self.bidirectional:
-            names += [n + "_rev" for n in names[:4]]
-        h, i = self.hidden_dim, self.input_dim
-        shapes = {"w_ih": (4 * h, i), "w_hh": (4 * h, h), "b_ih": (4 * h,), "b_hh": (4 * h,)}
-        for n in names:
-            base = n[:-4] if n.endswith("_rev") else n
-            got = self.weights[n].shape
-            if tuple(got) != shapes[base]:
-                raise ValueError(f"{n}: shape {got} != {shapes[base]}")
-
     @property
     def out_dim(self):
         return self.hidden_dim * (2 if self.bidirectional else 1)
@@ -170,7 +158,7 @@ def _wt(w):
     reads in either order; a Var keeps the C-order copy node it has always
     had, so that training graphs do not change."""
     wt = w.transpose(1, 0)
-    return wt.contiguous() if isinstance(wt, Var) else wt
+    return contiguous(wt) if isinstance(wt, Var) else wt
 
 
 def _lstm_direction(x, w_ih, w_hh, b_ih, b_hh, state, hidden):
@@ -191,11 +179,7 @@ def _lstm_direction(x, w_ih, w_hh, b_ih, b_hh, state, hidden):
     whh_t = contiguous(_wt(w_hh))
     ys = []
     for t in range(s):
-        out = lstm_cell(gx[t] + h @ whh_t, c, hidden)
-        if isinstance(out, Var):  # one node holding [h, c]
-            h, c = contiguous(out[:, :hidden]), contiguous(out[:, hidden:])
-        else:
-            h, c = out
+        h, c = lstm_cell(gx[t] + h @ whh_t, c, hidden)
         ys.append(h)
     return stack(ys, 0), (h, c)
 
@@ -364,8 +348,6 @@ def prelu(x, alpha):
 
 
 def activation(x, kind, alpha=None):
-    if kind == "identity":
-        return lift(x)
     if kind == "prelu":
         return prelu(x, alpha)
     raise ValueError(f"unknown activation kind {kind!r}")

@@ -275,10 +275,7 @@ def mix_at_ratio(target, interferer, ratio_db, region):
     """Scale interferer so measure_ratio(target, scaled)[region] == ratio_db."""
     t = target.samples if isinstance(target, AudioBuffer) else np.asarray(target)
     i = interferer.samples if isinstance(interferer, AudioBuffer) else np.asarray(interferer)
-    if region.dtype == bool:
-        t_r, i_r = t[region], i[region]
-    else:
-        t_r, i_r = t[region], i[region]
+    t_r, i_r = t[region], i[region]
     if t_r.size == 0:
         raise ValueError("empty mixing region")
     e_t = np.dot(t_r, t_r)
@@ -349,7 +346,6 @@ def synthesize(recipe: SceneRecipe, corpus: Corpus) -> SceneExample:
 
     # (5) microphone mix
     y = s + d + v
-    assert np.array_equal(y, s + d + v)
 
     # (6) simulated TDE error: delay the mic path, keep x in place
     delay = recipe.delay_samples

@@ -128,7 +128,7 @@ def backward(loss: Var, params: dict):
     return grads
 
 
-# ---- Adam and plateau schedule ------------------------------------------
+# ---- Adam ----------------------------------------------------------------
 
 
 @dataclass
@@ -162,36 +162,11 @@ def adam_step(params: dict, grads: dict, state: AdamState):
     return params, state
 
 
-class PlateauScheduler:
-    """Halve the learning rate after `patience` epochs without improvement."""
-
-    def __init__(self, state: AdamState, patience=2, min_delta=0.0):
-        self.state = state
-        self.patience = patience
-        self.min_delta = min_delta
-        self.best = None
-        self.bad_epochs = 0
-
-    def update(self, metric):
-        """Call once per evaluation epoch with the validation loss."""
-        if self.best is None or metric < self.best - self.min_delta:
-            self.best = metric
-            self.bad_epochs = 0
-            return False
-        self.bad_epochs += 1
-        if self.bad_epochs >= self.patience:
-            self.state.lr *= 0.5
-            self.bad_epochs = 0
-            return True
-        return False
-
-
 # ---- toy training --------------------------------------------------------
 
 
 def toy_train(store: WeightStore, cfg: ModelConfig, examples, steps=50,
-              lr=1e-3, plan: ChunkPlan = None, eval_every=None,
-              scheduler_patience=2, log_fn=None):
+              lr=1e-3, plan: ChunkPlan = None, log_fn=None):
     """Full-batch Adam on a fixed set of scene examples.
 
     Returns (store, log) where log is a list of {step, loss, lr, wall} records.
@@ -200,7 +175,6 @@ def toy_train(store: WeightStore, cfg: ModelConfig, examples, steps=50,
     params_np = {k: np.asarray(v, dtype=np.float64).copy()
                  for k, v in store.tensors.items()}
     state = AdamState(lr=lr)
-    sched = PlateauScheduler(state, patience=scheduler_patience)
     log = []
     for step in range(steps):
         t0 = time.perf_counter()
@@ -216,8 +190,6 @@ def toy_train(store: WeightStore, cfg: ModelConfig, examples, steps=50,
         log.append(rec)
         if log_fn is not None:
             log_fn(rec)
-        if eval_every and (step + 1) % eval_every == 0:
-            sched.update(loss_val)
     out = WeightStore(
         type(store.tensors)((k, params_np[k].astype(np.float32))
                             for k in store.tensors),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcaec.autodiff import Var, as_var, concat, dot, log10, lstm_cell, no_grad, stack
+from dcaec.autodiff import (Var, as_var, concat, dilate, dot, log10, lstm_cell, no_grad,
+                            pad, stack)
 from dcaec.training import backward, finite_diff, rel_error
 
 
@@ -97,8 +98,8 @@ def test_pad_dilate_concat_stack():
     def build(p):
         c = concat([p["x"], p["y"]], axis=0)
         s = stack([p["x"].sum(axis=0), p["y"].sum(axis=0)], 0)
-        d = p["x"].dilate(1, 3)
-        padded = c.pad(((1, 2), (0, 1)))
+        d = dilate(p["x"], 1, 3)
+        padded = pad(c, ((1, 2), (0, 1)))
         return padded.sum() + (s * s).sum() + (d * d).sum()
 
     _scalar_check(build, arrays)
@@ -130,24 +131,52 @@ def test_lstm_cell_matches_unfused_math():
     h = 3
     g = rng.normal(size=(2, 4 * h))
     c_prev = rng.normal(size=(2, h))
-    out = lstm_cell(as_var(g), as_var(c_prev), h)
+    h_out, c_out = lstm_cell(as_var(g), as_var(c_prev), h)
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     gi, gf, gc, go = sig(g[:, :h]), sig(g[:, h:2 * h]), np.tanh(g[:, 2 * h:3 * h]), sig(g[:, 3 * h:])
     c = gf * c_prev + gi * gc
-    np.testing.assert_allclose(out.data[:, h:], c, atol=1e-12)
-    np.testing.assert_allclose(out.data[:, :h], go * np.tanh(c), atol=1e-12)
+    np.testing.assert_allclose(c_out.data, c, atol=1e-12)
+    np.testing.assert_allclose(h_out.data, go * np.tanh(c), atol=1e-12)
 
 
 def test_lstm_cell_gradient():
     rng = np.random.default_rng(8)
     h = 2
     arrays = {"g": rng.normal(size=(3, 4 * h)), "c": rng.normal(size=(3, h))}
-    r = rng.normal(size=(3, 2 * h))
+    r_h, r_c = rng.normal(size=(3, h)), rng.normal(size=(3, h))
 
     def build(p):
-        return (lstm_cell(p["g"], p["c"], h) * r).sum()
+        h_out, c_out = lstm_cell(p["g"], p["c"], h)
+        return (h_out * r_h).sum() + (c_out * r_c).sum()
 
     _scalar_check(build, arrays)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_cell_arrays_and_vars_agree_bitwise(dtype):
+    rng = np.random.default_rng(9)
+    h = 4
+    g = rng.normal(size=(3, 4 * h)).astype(dtype)
+    c_prev = rng.normal(size=(3, h)).astype(dtype)
+    h_arr, c_arr = lstm_cell(g, c_prev, h)
+    h_var, c_var = lstm_cell(as_var(g), as_var(c_prev), h)
+    assert isinstance(h_var, Var) and isinstance(c_var, Var)
+    np.testing.assert_array_equal(h_var.data, h_arr)
+    np.testing.assert_array_equal(c_var.data, c_arr)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "@"])
+def test_array_on_the_left_defers_to_var(op):
+    rng = np.random.default_rng(10)
+    a = rng.normal(size=(2, 2))
+    x = 1.0 + rng.uniform(size=(2, 2))
+    fn = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
+          "*": lambda u, v: u * v, "/": lambda u, v: u / v,
+          "@": lambda u, v: u @ v}[op]
+    out = fn(a, as_var(x))
+    assert isinstance(out, Var)
+    np.testing.assert_array_equal(out.data, fn(a, x))
+    _scalar_check(lambda p: fn(a, p["x"]).sum(), {"x": x})
 
 
 def test_unreached_parameters_get_zero_gradients():

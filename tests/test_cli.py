@@ -25,6 +25,15 @@ def _wav(path, samples):
     return path
 
 
+def _check_threads_pinned(rep):
+    """The report says whether BLAS really ran on one thread."""
+    assert isinstance(rep["threads_pinned"], bool)
+    try:
+        import threadpoolctl  # noqa: F401
+    except ImportError:
+        assert rep["threads_pinned"] is False
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])
@@ -52,6 +61,7 @@ def test_process_silence_to_silence(tmp_path, desk_weights, capsys):
     rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep["mode"] == "offline"
     assert rep["rtf"] > 0
+    _check_threads_pinned(rep)
     from dcaec.wavio import read_wav
     assert np.max(np.abs(read_wav(out).samples)) <= 1.0 / 32768.0
 
@@ -66,6 +76,7 @@ def test_process_streaming_report(tmp_path, desk_weights, capsys):
     rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep["mode"] == "streaming"
     assert rep["latency_samples"] <= 640
+    _check_threads_pinned(rep)
 
 
 def test_process_missing_file_exit_2(tmp_path, desk_weights, capsys):
@@ -162,6 +173,7 @@ def test_traintoy_smoke(tmp_path, capsys):
     text = capsys.readouterr().out
     steps = [json.loads(l) for l in text.splitlines() if l.startswith("{")]
     assert len(steps) == 2
+    assert "threads_pinned" in text.splitlines()[-1]
     assert out.exists()
     load_weights(out)
 

@@ -248,14 +248,6 @@ def test_bidirectional_lstm_reverses_cleanly():
         lstm_seq(x, spec, state=(np.zeros((2, 3)), np.zeros((2, 3))))
 
 
-def test_lstm_spec_validation():
-    spec = rand_lstm_spec(np.random.default_rng(0), 3, 4)
-    spec.validate()
-    spec.weights["w_ih"] = np.zeros((3, 3))
-    with pytest.raises(ValueError):
-        spec.validate()
-
-
 # ---- F-T block, complex LSTM, deep filter, activations -------------------
 
 

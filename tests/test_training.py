@@ -1,4 +1,4 @@
-"""Objective graphs, Adam, scheduling and the toy training loop."""
+"""Objective graphs, Adam and the toy training loop."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from dcaec.dsp import RATE, AudioBuffer, StftConfig, istft, stft
 from dcaec.metrics import ChunkPlan, si_snr
 from dcaec.model import ModelConfig, init_weights
 from dcaec.scene import make_training_examples, synthetic_corpus
-from dcaec.training import (AdamState, PlateauScheduler, adam_step,
+from dcaec.training import (AdamState, adam_step,
                             backward, batched_loss, example_loss, finite_diff,
                             istft_graph, rel_error, seg_sisnr_var, si_snr_var,
                             toy_train)
@@ -103,17 +103,6 @@ def test_adam_first_step_size_is_lr():
 def test_adam_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         adam_step({"p": np.zeros(3)}, {"p": np.zeros(2)}, AdamState())
-
-
-def test_plateau_scheduler_halves_after_patience():
-    state = AdamState(lr=1.0)
-    sched = PlateauScheduler(state, patience=2)
-    assert not sched.update(10.0)
-    assert not sched.update(9.0)   # improvement resets the counter
-    assert not sched.update(9.5)
-    assert sched.update(9.5)       # second bad epoch triggers the halving
-    assert state.lr == 0.5
-    assert not sched.update(9.4)   # counter restarts after a cut
 
 
 def test_toy_train_zero_lr_is_constant():
