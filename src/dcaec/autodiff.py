@@ -184,9 +184,10 @@ class Var:
         out_data = a.data @ bd
 
         def bwd(g):
-            a._accum(g @ bd.T, own=True)
+            # swap the matrix axes only; leading axes broadcast like any operand
+            a._accum(_unbroadcast(g @ bd.swapaxes(-1, -2), a.data.shape), own=True)
             if isinstance(b, Var):
-                b._accum(a.data.T @ g, own=True)
+                b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), own=True)
 
         return Var._make(out_data, (a, b), bwd)
 
@@ -196,7 +197,7 @@ class Var:
         out_data = c @ a.data
 
         def bwd(g):
-            a._accum(c.T @ g, own=True)
+            a._accum(_unbroadcast(c.swapaxes(-1, -2) @ g, a.data.shape), own=True)
 
         return Var._make(out_data, (a,), bwd)
 

@@ -482,17 +482,18 @@ def ideal_crm(y: ComplexSpec, s: ComplexSpec, eps=1e-12) -> MaskSpec:
                     (y.re * s.im - y.im * s.re) / den)
 
 
-def _clamp_mask(re, im, report=None):
+def _clamp_mask(re, im):
+    """The mask with every bin's magnitude limited to MASK_CLAMP, and the
+    number of bins that were limited."""
     mag = np.hypot(re, im)
     over = mag > MASK_CLAMP
-    if np.any(over):
+    n = int(over.sum())
+    if n:
         scale = np.ones_like(mag)
         scale[over] = MASK_CLAMP / mag[over]
         re = re * scale
         im = im * scale
-        if report is not None:
-            report["mask_clamped_bins"] = int(over.sum())
-    return re, im
+    return re, im, n
 
 
 def _pad_to_match(y: AudioBuffer, x: AudioBuffer):
@@ -504,7 +505,11 @@ def _pad_to_match(y: AudioBuffer, x: AudioBuffer):
 
 def forward(y: AudioBuffer, x: AudioBuffer, store: WeightStore, cfg: ModelConfig,
             collect=None, report=None):
-    """Offline inference: (mic, farend) -> (mask, estimated near-end signal)."""
+    """Offline inference: (mic, farend) -> (mask, estimated near-end signal).
+
+    report: optional dict that receives mask_clamped_bins, the number of mask
+    bins whose magnitude was limited to MASK_CLAMP.
+    """
     validate_store(store, cfg)
     y, x = _pad_to_match(y, x)
     y_spec = stft(y, cfg.stft)
@@ -514,7 +519,9 @@ def forward(y: AudioBuffer, x: AudioBuffer, store: WeightStore, cfg: ModelConfig
     with no_grad():
         m = build_mask_graph(y_spec, x_spec, inference_params(store), cfg,
                              collect=collect, dtype=np.float32)
-    m_re, m_im = _clamp_mask(m.re, m.im, report)
+    m_re, m_im, clamped = _clamp_mask(m.re, m.im)
+    if report is not None:
+        report["mask_clamped_bins"] = clamped
     mask = MaskSpec(m_re, m_im)
     s_hat = istft(apply_mask(y_spec, mask))
     return mask, s_hat
@@ -552,6 +559,10 @@ class StreamingSession:
                       np.zeros((3, cfg.n_bins), dtype=np.complex64))
         self.ola = np.zeros(self.win)    # overlap-add tail accumulator
         self.done = False
+        # counters: frames masked and emitted, and their mask bins whose
+        # magnitude was limited to MASK_CLAMP
+        self.frames = 0
+        self.mask_clamped_bins = 0
 
     @property
     def algorithmic_latency(self):
@@ -607,7 +618,9 @@ class StreamingSession:
     def _emit(self, mask, last):
         """Overlap-add the masked centre frame; returns the finished samples."""
         m_re, m_im, self.clstm_states = mask
-        m_re, m_im = _clamp_mask(m_re, m_im)
+        m_re, m_im, clamped = _clamp_mask(m_re, m_im)
+        self.frames += 1
+        self.mask_clamped_bins += clamped
         s = self.rings[0][1] * (m_re + 1j * m_im)
         self.ola += np.fft.irfft(s, n=self.cfg.stft.fft_size)[:self.win] * self.cfg.stft.window
         if last:

@@ -9,6 +9,14 @@ where * is a real cross-correlation.  Every kernel lifts its inputs with
 `autodiff.lift`: while gradients record they become Vars and the kernel
 returns Vars; under `no_grad` the kernel runs on plain arrays and returns
 arrays, building no graph.  One code path serves inference and training.
+
+Recurrences go through one kernel, `lstm_group`, which advances K independent
+LSTMs (each with its own weights and direction) over inputs of one length
+and batch.  On arrays it steps the K of them together, one Python step per
+time step, bit for bit as the gradient graph computes them; on Vars it
+builds each recurrence's graph of `lstm_cell` nodes, one after another.  The
+F-T block's F-stage (re/im x forward/backward) and the complex LSTM's four
+recurrences each run as K = 4, every other LSTM as K = 1 or 2.
 """
 
 from dataclasses import dataclass, field
@@ -161,14 +169,25 @@ def _wt(w):
     return contiguous(wt) if isinstance(wt, Var) else wt
 
 
-def _lstm_direction(x, w_ih, w_hh, b_ih, b_hh, state, hidden):
-    """Run one direction of the recurrence.
+def _cells(spec: LstmSpec):
+    """The spec's recurrences as (w_ih, w_hh, b_ih, b_hh, reverse) tuples:
+    the forward direction, then the backward one when bidirectional."""
+    w = spec.weights
+    sufs = ("", "_rev") if spec.bidirectional else ("",)
+    return [(w["w_ih" + s], w["w_hh" + s], w["b_ih" + s], w["b_hh" + s], s == "_rev")
+            for s in sufs]
 
-    x: (S, B, I).  Returns (y (S, B, H), (h, c)) with h, c shaped (B, H).
-    A w_hh in Fortran order (see model.inference_params) makes the per-step
-    recurrent operand a C-order view that is never copied.
+
+def _lstm_graph(x, cell, state, hidden):
+    """One recurrence as a graph of lstm_cell nodes, for gradient work.
+
+    x: Var (S, B, I).  Returns (y (S, B, H), (h, c)) with h, c shaped (B, H).
+    A reverse cell scans x from its end; y is in x's time order either way.
     """
-    x, w_ih, w_hh, b_ih, b_hh = (lift(v) for v in (x, w_ih, w_hh, b_ih, b_hh))
+    w_ih, w_hh, b_ih, b_hh, reverse = cell
+    w_ih, w_hh, b_ih, b_hh = (lift(v) for v in (w_ih, w_hh, b_ih, b_hh))
+    if reverse:
+        x = x[::-1]
     s, b, i = x.shape
     if state is None:
         h = lift(np.zeros((b, hidden), dtype=x.dtype))
@@ -181,7 +200,68 @@ def _lstm_direction(x, w_ih, w_hh, b_ih, b_hh, state, hidden):
     for t in range(s):
         h, c = lstm_cell(gx[t] + h @ whh_t, c, hidden)
         ys.append(h)
-    return stack(ys, 0), (h, c)
+    y = stack(ys, 0)
+    return (y[::-1] if reverse else y), (h, c)
+
+
+def lstm_group(xs, cells, states, hidden):
+    """Advance K independent LSTM recurrences of one length S and batch N.
+
+    xs: K inputs (S, N, I); cells: K (w_ih, w_hh, b_ih, b_hh, reverse)
+    tuples (see _cells); states: K (h, c) pairs shaped (N, H), or None for
+    zeros.  Returns the K outputs (S, N, H), each in its input's time order,
+    and the K final (h, c) states.
+
+    While gradients record, each recurrence is built as a graph of lstm_cell
+    nodes, one after another.  On arrays the K recurrences take one Python
+    step per time step, in gate and cell buffers allocated once per call,
+    with lstm_cell's arithmetic in the same order, so the results are the
+    same bits.  A w_hh in Fortran order (see model.inference_params) makes
+    the per-step recurrent operand a C-order view that is never copied.
+    """
+    xs = [lift(x) for x in xs]
+    if isinstance(xs[0], Var):
+        out = [_lstm_graph(x, cell, st, hidden) for x, cell, st in zip(xs, cells, states)]
+        return [y for y, _ in out], [st for _, st in out]
+    cells = [tuple(lift(w) for w in cell[:4]) + cell[4:] for cell in cells]
+    k, (s, n, _) = len(xs), xs[0].shape
+    hd = hidden
+    dt = np.result_type(*xs, *(w for cell in cells for w in cell[:4]))
+    # input projections, written in place, the reverse cells' scanned from
+    # the end, so that step t adds the recurrent products to gx[:, t]
+    gx = np.empty((k, s, n, 4 * hd), dt)
+    for j, (x, (w_ih, _, b_ih, b_hh, reverse)) in enumerate(zip(xs, cells)):
+        x = x[::-1] if reverse else x
+        np.matmul(x.reshape(s * n, -1), _wt(w_ih), out=gx[j].reshape(s * n, 4 * hd))
+        gx[j] += b_ih + b_hh
+    whh_t = [contiguous(_wt(cell[1])) for cell in cells]
+    y = np.empty((k, s, n, hd), dt)
+    h = np.zeros((k, n, hd), dt)
+    c = np.zeros((k, n, hd), dt)
+    for j, st in enumerate(states):
+        if st is not None:
+            h[j], c[j] = lift(st[0]), lift(st[1])
+    hw = np.empty((k, n, 4 * hd), dt)   # recurrent products
+    sg = np.empty((k, n, 4 * hd), dt)   # gate sigmoids
+    tg = np.empty((k, n, hd), dt)       # tanh scratch
+    for t in range(s):
+        for j in range(k):
+            np.matmul(h[j], whh_t[j], out=hw[j])
+        g = gx[:, t]
+        g += hw
+        # lstm_cell's array arithmetic, in place
+        np.negative(g, out=sg)
+        np.exp(sg, out=sg)
+        np.add(sg, 1.0, out=sg)
+        np.divide(1.0, sg, out=sg)
+        np.tanh(g[..., 2 * hd:3 * hd], out=tg)
+        tg *= sg[..., :hd]
+        c *= sg[..., hd:2 * hd]
+        c += tg
+        np.tanh(c, out=tg)
+        h = np.multiply(sg[..., 3 * hd:], tg, out=y[:, t])
+    ys = [y[j, ::-1] if cell[4] else y[j] for j, cell in enumerate(cells)]
+    return ys, [(h[j].copy(), c[j].copy()) for j in range(k)]
 
 
 def lstm_seq(x, spec: LstmSpec, state=None):
@@ -190,17 +270,14 @@ def lstm_seq(x, spec: LstmSpec, state=None):
     Unidirectional: returns (y (S, B, H), (h, c)).  Bidirectional: full
     sequence only, returns (y (S, B, 2H), None); `state` must be None.
     """
-    w = spec.weights
+    if spec.bidirectional and state is not None:
+        raise ValueError("bidirectional LSTM has no streaming state")
+    cells = _cells(spec)
+    ys, states = lstm_group([x] * len(cells), cells, [state] * len(cells),
+                            spec.hidden_dim)
     if spec.bidirectional:
-        if state is not None:
-            raise ValueError("bidirectional LSTM has no streaming state")
-        y_f, _ = _lstm_direction(x, w["w_ih"], w["w_hh"], w["b_ih"], w["b_hh"],
-                                 None, spec.hidden_dim)
-        y_b, _ = _lstm_direction(x[::-1], w["w_ih_rev"], w["w_hh_rev"],
-                                 w["b_ih_rev"], w["b_hh_rev"], None, spec.hidden_dim)
-        return concat([y_f, y_b[::-1]], axis=2), None
-    return _lstm_direction(x, w["w_ih"], w["w_hh"], w["b_ih"], w["b_hh"],
-                           state, spec.hidden_dim)
+        return concat(ys, axis=2), None
+    return ys[0], states[0]
 
 
 def lstm_forward(x, spec: LstmSpec, state=None):
@@ -244,20 +321,15 @@ class FtLstmParams:
     proj_t_b: object   # (C,)
 
 
-def _ft_lstm_part(x, p: FtLstmParams, t_state=None):
-    """One branch of the block; x Var (C, F, B, T); returns (out, t_state')."""
-    c, f, b, t = x.shape
-    # F-stage: bidirectional along frequency, each frame independent.
-    xf = x.transpose(1, 2, 3, 0).reshape(f, b * t, c)   # seq F, batch B*T
-    u, _ = lstm_seq(xf, p.f_spec)                        # (F, B*T, 2H)
-    u = linear(u, p.proj_f_w, p.proj_f_b)                # (F, B*T, C)
-    v = x + u.reshape(f, b, t, c).transpose(3, 0, 1, 2)  # residual, (C, F, B, T)
-    # T-stage: unidirectional along time, each sequence and frequency independent.
-    vt = v.transpose(3, 2, 1, 0).reshape(t, b * f, c)    # seq T, batch B*F
-    z, t_state = lstm_seq(vt, p.t_spec, t_state)         # (T, B*F, H)
-    z = linear(z, p.proj_t_w, p.proj_t_b)                # (T, B*F, C)
-    out = v + z.reshape(t, b, f, c).transpose(3, 2, 1, 0)
-    return out, t_state
+def _f_stage(xf, parts):
+    """Both parts' F-stage: xf (F, N, C) per part -> u (F, N, C) per part.
+
+    The four recurrences (re/im x forward/backward) step together."""
+    cells = [cell for p in parts for cell in _cells(p.f_spec)]
+    ys, _ = lstm_group([x for x in xf for _ in (0, 1)], cells, [None] * 4,
+                       parts[0].f_spec.hidden_dim)
+    return [linear(concat(ys[2 * j:2 * j + 2], axis=2), p.proj_f_w, p.proj_f_b)
+            for j, p in enumerate(parts)]
 
 
 def ft_lstm_block(h: ComplexPair, params_re: FtLstmParams, params_im: FtLstmParams,
@@ -270,10 +342,34 @@ def ft_lstm_block(h: ComplexPair, params_re: FtLstmParams, params_im: FtLstmPara
     """
     shape = h.shape
     c, f, t = shape[0], shape[1], shape[-1]
-    st_re, st_im = t_states if t_states is not None else (None, None)
-    out_re, st_re = _ft_lstm_part(h.re.reshape(c, f, -1, t), params_re, st_re)
-    out_im, st_im = _ft_lstm_part(h.im.reshape(c, f, -1, t), params_im, st_im)
-    return ComplexPair(out_re.reshape(shape), out_im.reshape(shape)), (st_re, st_im)
+    parts = (params_re, params_im)
+    xs = [lift(x).reshape(c, f, -1, t) for x in (h.re, h.im)]   # (C, F, B, T)
+    b = xs[0].shape[2]
+    # F-stage: bidirectional along frequency, each frame independent.
+    xf = [x.transpose(1, 2, 3, 0).reshape(f, b * t, c) for x in xs]  # seq F, batch B*T
+    if isinstance(xf[0], Var):  # training: one graph over all frames
+        u = _f_stage(xf, parts)
+    else:
+        # up to four slices of frames, each projected before the next, keep
+        # the four recurrences' gate buffers at one recurrence's size.  A
+        # slice has two frames or more: one frame would multiply through
+        # gemv, whose sums round differently from gemm's.
+        n = b * t
+        k = max(1, min(4, n // 2))
+        edges = [n * i // k for i in range(k + 1)]
+        pieces = [_f_stage([x[:, lo:hi] for x in xf], parts)
+                  for lo, hi in zip(edges, edges[1:])]
+        u = [np.concatenate(ps, axis=1) for ps in zip(*pieces)]
+    outs, states = [], []
+    for x, uj, p, st in zip(xs, u, parts, t_states or (None, None)):
+        v = x + uj.reshape(f, b, t, c).transpose(3, 0, 1, 2)  # residual, (C, F, B, T)
+        # T-stage: unidirectional along time, each sequence and frequency independent.
+        vt = v.transpose(3, 2, 1, 0).reshape(t, b * f, c)    # seq T, batch B*F
+        z, st = lstm_seq(vt, p.t_spec, st)                   # (T, B*F, H)
+        z = linear(z, p.proj_t_w, p.proj_t_b)                # (T, B*F, C)
+        outs.append((v + z.reshape(t, b, f, c).transpose(3, 2, 1, 0)).reshape(shape))
+        states.append(st)
+    return ComplexPair(*outs), tuple(states)
 
 
 @dataclass
@@ -297,14 +393,12 @@ def complex_lstm(x: ComplexPair, p: ComplexLstmParams, states=None):
     lead = x.shape[:-1]
     xr = x.re.reshape(lead[0], -1, x.shape[-1])
     xi = x.im.reshape(lead[0], -1, x.shape[-1])
-    rr, s0 = lstm_seq(xr, p.spec_r, s[0])
-    ri, s1 = lstm_seq(xi, p.spec_r, s[1])
-    ir, s2 = lstm_seq(xr, p.spec_i, s[2])
-    ii, s3 = lstm_seq(xi, p.spec_i, s[3])
     h = p.spec_r.hidden_dim
+    (rr, ri, ir, ii), states = lstm_group(
+        [xr, xi, xr, xi], _cells(p.spec_r) * 2 + _cells(p.spec_i) * 2, s, h)
     pair = ComplexPair((rr - ii).reshape(*lead, h), (ri + ir).reshape(*lead, h))
     out = complex_linear(pair, p.proj_pr, p.proj_pi, p.proj_br, p.proj_bi)
-    return out, (s0, s1, s2, s3)
+    return out, tuple(states)
 
 
 def deep_filter_apply(coef: ComplexPair, target: ComplexPair) -> ComplexPair:

@@ -80,6 +80,24 @@ def test_matmul_and_transpose():
     _scalar_check(build, arrays)
 
 
+@pytest.mark.parametrize("b_shape", [(4, 5), (3, 4, 5)])
+def test_matmul_batched_operands(b_shape):
+    rng = np.random.default_rng(11)
+    arrays = {"a": rng.normal(size=(3, 2, 4)), "b": rng.normal(size=b_shape)}
+    r = rng.normal(size=(3, 2, 5))
+    _scalar_check(lambda p: ((p["a"] @ p["b"]) * r).sum(), arrays)
+
+
+@pytest.mark.parametrize("c_shape,x_shape", [((3, 2, 4), (4, 5)),
+                                             ((2, 4), (3, 4, 5)),
+                                             ((3, 2, 4), (3, 4, 5))])
+def test_array_matmul_batched_var(c_shape, x_shape):
+    rng = np.random.default_rng(12)
+    c = rng.normal(size=c_shape)
+    r = rng.normal(size=(3, 2, 5))
+    _scalar_check(lambda p: ((c @ p["x"]) * r).sum(), {"x": rng.normal(size=x_shape)})
+
+
 def test_getitem_strided_and_reversed():
     rng = np.random.default_rng(3)
     arrays = {"x": rng.normal(size=(6, 5))}

@@ -1,13 +1,16 @@
 """CLI behaviour via main(argv): exit codes, JSON reports, file outputs."""
 
+import contextlib
 import json
+import subprocess
 
 import numpy as np
 import pytest
 
+from dcaec import cli
 from dcaec.cli import main
 from dcaec.dsp import RATE, AudioBuffer
-from dcaec.model import ModelConfig, count_params
+from dcaec.model import MASK_CLAMP, ModelConfig, count_params, init_weights
 from dcaec.wavio import write_wav
 from dcaec.weights_io import load_weights, save_weights
 
@@ -77,6 +80,25 @@ def test_process_streaming_report(tmp_path, desk_weights, capsys):
     assert rep["mode"] == "streaming"
     assert rep["latency_samples"] <= 640
     _check_threads_pinned(rep)
+
+
+@pytest.mark.parametrize("streaming", [False, True])
+def test_process_reports_clamped_mask_bins(tmp_path, streaming, capsys):
+    """Weights whose final projection pushes every mask bin past the clamp:
+    offline and streaming JSON both count every bin of every frame."""
+    cfg = ModelConfig.desk_mode()
+    store = init_weights(cfg, seed=0)
+    for part in ("br", "bi"):
+        store.tensors[f"clstm0.proj.{part}"][:] = 10 * MASK_CLAMP
+    weights = tmp_path / "clamping.bin"
+    save_weights(weights, store)
+    rng = np.random.default_rng(1)
+    mic = _wav(tmp_path / "m.wav", 0.05 * rng.normal(size=RATE // 4))
+    far = _wav(tmp_path / "f.wav", 0.05 * rng.normal(size=RATE // 4))
+    main(["process", "--mic", str(mic), "--farend", str(far), "--weights", str(weights),
+          "--out", str(tmp_path / "o.wav")] + (["--streaming"] if streaming else []))
+    rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rep["mask_clamped_bins"] == cfg.stft.n_frames(RATE // 4) * cfg.n_bins
 
 
 def test_process_missing_file_exit_2(tmp_path, desk_weights, capsys):
@@ -178,7 +200,23 @@ def test_traintoy_smoke(tmp_path, capsys):
     load_weights(out)
 
 
-def test_bench_report(desk_weights, capsys):
+def test_bench_report(desk_weights, capsys, monkeypatch):
+    """Without an in-process thread limit (threadpoolctl missing, or forced
+    off here) the timed part runs in a child process that starts with every
+    BLAS/OpenMP thread variable at 1, and only that child says pinned."""
+    @contextlib.contextmanager
+    def no_limit():
+        yield False
+
+    started = []
+    run = subprocess.run
+
+    def spy(cmd, **kwargs):
+        started.append(kwargs["env"])
+        return run(cmd, **kwargs)
+
+    monkeypatch.setattr(cli, "_single_threaded", no_limit)
+    monkeypatch.setattr(subprocess, "run", spy)
     main(["bench", "--weights", str(desk_weights), "--seconds", "0.5"])
     rep = json.loads(capsys.readouterr().out.strip())
     assert rep["params"] == 72_028
@@ -187,8 +225,14 @@ def test_bench_report(desk_weights, capsys):
     assert rep["stream_seconds"] >= 3.0
     assert 0 < rep["stream_hop_ms_p50"] <= rep["stream_hop_ms_p99"] <= rep["stream_hop_ms_max"]
     assert rep["stream_rtf"] > 0
-    assert isinstance(rep["threads_pinned"], bool)
-    try:
-        import threadpoolctl  # noqa: F401
-    except ImportError:
-        assert rep["threads_pinned"] is False
+    assert len(started) == 1
+    assert all(started[0][v] == "1" for v in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    assert rep["threads_pinned"] is True
+
+
+def test_bench_child_errors_keep_exit_codes(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "--weights", str(tmp_path / "nope.bin"), "--seconds", "0.5"])
+    assert e.value.code == 2
+    assert "nope.bin" in capsys.readouterr().err

@@ -267,6 +267,30 @@ def test_streaming_overflow_raises_and_changes_nothing():
     np.testing.assert_array_equal(hit.flush(), clean.flush())
 
 
+def test_clamped_mask_bins_counted_offline_and_streaming():
+    # the last cLSTM projection's biases put every mask bin far above the clamp
+    store = init_weights(DESK, seed=0)
+    for part in ("br", "bi"):
+        store.tensors[f"clstm0.proj.{part}"][:] = 10 * model.MASK_CLAMP
+    y, x = _signals(seconds=0.25, seed=11)
+    rep = {}
+    mask, _ = forward(y, x, store, DESK, report=rep)
+    n_bins = mask.re.size
+    assert rep["mask_clamped_bins"] == n_bins
+    assert np.all(np.hypot(mask.re, mask.im) <= model.MASK_CLAMP * (1 + 1e-5))  # float32
+    sess = StreamingSession(store, DESK)
+    assert (sess.frames, sess.mask_clamped_bins) == (0, 0)
+    hop = DESK.stft.hop
+    for i in range(0, len(y), hop):
+        sess.feed(y.samples[i:i + hop], x.samples[i:i + hop])
+    sess.flush()
+    assert sess.frames == mask.re.shape[0]
+    assert sess.mask_clamped_bins == n_bins
+    # with the initial weights no bin reaches the limit
+    forward(y, x, init_weights(DESK, seed=0), DESK, report=rep)
+    assert rep["mask_clamped_bins"] == 0
+
+
 def _states_finite(states):
     if isinstance(states, (tuple, list)):
         return all(_states_finite(s) for s in states)

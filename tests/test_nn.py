@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcaec.autodiff import as_var
+from dcaec.autodiff import as_var, no_grad
 from dcaec.nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
                       LstmSpec, complex_conv2d, complex_deconv2d,
                       complex_linear, complex_lstm, deep_filter_apply,
@@ -357,6 +357,153 @@ def test_complex_lstm_state_carry():
         np.concatenate([a.re.data, b.re.data]), full.re.data, atol=1e-12)
     np.testing.assert_allclose(
         np.concatenate([a.im.data, b.im.data]), full.im.data, atol=1e-12)
+
+
+# ---- grouped recurrences: arrays against the gradient graph ----------------
+
+
+def _ft_params(rng, c, hd, dtype):
+    def cast(a):
+        return np.asarray(a, dtype=dtype)
+
+    f_spec = rand_lstm_spec(rng, c, hd, True)
+    t_spec = rand_lstm_spec(rng, c, hd, False)
+    for spec in (f_spec, t_spec):
+        spec.weights = {k: cast(v) for k, v in spec.weights.items()}
+    return FtLstmParams(f_spec, t_spec,
+                        cast(0.4 * rng.normal(size=(c, 2 * hd))), cast(0.4 * rng.normal(size=c)),
+                        cast(0.4 * rng.normal(size=(c, hd))), cast(0.4 * rng.normal(size=c)))
+
+
+def _clstm_params(rng, d, hd, dtype):
+    specs = [rand_lstm_spec(rng, d, hd) for _ in range(2)]
+    for spec in specs:
+        spec.weights = {k: v.astype(dtype) for k, v in spec.weights.items()}
+    pr, pi = (0.4 * rng.normal(size=(2, d, hd))).astype(dtype)
+    br, bi = (0.4 * rng.normal(size=(2, d))).astype(dtype)
+    return ComplexLstmParams(*specs, pr, pi, br, bi)
+
+
+def _both_paths(fn):
+    """fn() on Vars while gradients record, and under no_grad on arrays."""
+    graph = fn()
+    with no_grad():
+        arrays = fn()
+    return graph, arrays
+
+
+def _assert_same_bits(graph, arrays):
+    """A nest of Vars and one of arrays hold the same values, bit for bit."""
+    if isinstance(graph, (tuple, list)):
+        assert len(graph) == len(arrays)
+        for g, a in zip(graph, arrays):
+            _assert_same_bits(g, a)
+    elif isinstance(graph, ComplexPair):
+        _assert_same_bits((graph.re, graph.im), (arrays.re, arrays.im))
+    elif graph is None:
+        assert arrays is None
+    else:
+        assert type(arrays) is np.ndarray
+        assert graph.dtype == arrays.dtype
+        assert np.array_equal(graph.data, arrays)
+
+
+DTYPES = [np.float32, np.float64]
+COLUMNS = [1, 2, 3, 5, 9]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", COLUMNS)
+def test_ft_lstm_block_arrays_match_graph(dtype, n):
+    """n frame columns: the array path steps the F-stage in slices of
+    ceil(n / 4) columns, the graph path in one."""
+    rng = np.random.default_rng(30 + n)
+    c, f, hd = 6, 7, 8
+    p_re, p_im = _ft_params(rng, c, hd, dtype), _ft_params(rng, c, hd, dtype)
+    h = rng.normal(size=(2, c, f, n)).astype(dtype)
+    _assert_same_bits(*_both_paths(
+        lambda: ft_lstm_block(ComplexPair(h[0], h[1]), p_re, p_im)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_ft_lstm_block_batched_with_carried_states_matches_graph(dtype):
+    rng = np.random.default_rng(40)
+    c, f, b, t, hd = 6, 7, 3, 2, 8
+    p_re, p_im = _ft_params(rng, c, hd, dtype), _ft_params(rng, c, hd, dtype)
+    h1, h2 = rng.normal(size=(2, 2, c, f, b, t)).astype(dtype)
+    with no_grad():
+        _, states = ft_lstm_block(ComplexPair(h1[0], h1[1]), p_re, p_im)
+    _assert_same_bits(*_both_paths(
+        lambda: ft_lstm_block(ComplexPair(h2[0], h2[1]), p_re, p_im, states)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", COLUMNS)
+def test_bidirectional_lstm_seq_arrays_match_graph(dtype, n):
+    rng = np.random.default_rng(50 + n)
+    spec = rand_lstm_spec(rng, 5, 8, bidirectional=True)
+    spec.weights = {k: v.astype(dtype) for k, v in spec.weights.items()}
+    x = rng.normal(size=(6, n, 5)).astype(dtype)
+    _assert_same_bits(*_both_paths(lambda: lstm_seq(x, spec)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", COLUMNS)
+def test_complex_lstm_arrays_match_graph(dtype, n):
+    rng = np.random.default_rng(60 + n)
+    p = _clstm_params(rng, 5, 8, dtype)
+    x = rng.normal(size=(2, 4, n, 5)).astype(dtype)
+    _assert_same_bits(*_both_paths(lambda: complex_lstm(ComplexPair(x[0], x[1]), p)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_complex_lstm_batched_with_carried_states_matches_graph(dtype):
+    rng = np.random.default_rng(70)
+    p = _clstm_params(rng, 5, 8, dtype)
+    x1, x2 = rng.normal(size=(2, 2, 3, 4, 5)).astype(dtype)
+    with no_grad():
+        _, states = complex_lstm(ComplexPair(x1[0], x1[1]), p)
+    _assert_same_bits(*_both_paths(
+        lambda: complex_lstm(ComplexPair(x2[0], x2[1]), p, states)))
+
+
+def ft_lstm_oracle(xp, p):
+    """One part of the F-T block from per-frame and per-bin scalar
+    recurrences: xp (C, F, T)."""
+    _, f, t = xp.shape
+    w = p.f_spec.weights
+    v = xp.copy()
+    for tt in range(t):
+        seq = xp[:, :, tt].T  # (F, C)
+        fwd = lstm_loops(seq, w["w_ih"], w["w_hh"], w["b_ih"], w["b_hh"])[0]
+        back = lstm_loops(seq[::-1], w["w_ih_rev"], w["w_hh_rev"],
+                          w["b_ih_rev"], w["b_hh_rev"])[0][::-1]
+        u = np.concatenate([fwd, back], axis=1) @ p.proj_f_w.T + p.proj_f_b
+        v[:, :, tt] += u.T
+    wt = p.t_spec.weights
+    out = v.copy()
+    for ff in range(f):
+        seq = v[:, ff, :].T  # (T, C)
+        z = lstm_loops(seq, wt["w_ih"], wt["w_hh"], wt["b_ih"], wt["b_hh"])[0]
+        out[:, ff, :] += (z @ p.proj_t_w.T + p.proj_t_b).T
+    return out
+
+
+def test_ft_lstm_arrays_match_scalar_oracle():
+    """Criterion 3's F-T oracle, run on the array path."""
+    rng = np.random.default_rng(80)
+    worst = 0.0
+    for _ in range(30):
+        c, hd = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        f, t = int(rng.integers(2, 4)), int(rng.integers(2, 6))
+        p_re, p_im = (_ft_params(rng, c, hd, np.float64) for _ in range(2))
+        hx = rng.normal(size=(2, c, f, t))
+        with no_grad():
+            out, _ = ft_lstm_block(ComplexPair(hx[0], hx[1]), p_re, p_im)
+        assert type(out.re) is np.ndarray
+        worst = max(worst, np.max(np.abs(out.re - ft_lstm_oracle(hx[0], p_re))),
+                    np.max(np.abs(out.im - ft_lstm_oracle(hx[1], p_im))))
+    assert worst < 1e-5
 
 
 def deep_filter_loops(coef_re, coef_im, t_re, t_im):
