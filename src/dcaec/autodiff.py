@@ -8,11 +8,12 @@ treated as constants and receive no gradient.
 Vars exist only where gradients are recorded.  Kernels pass their inputs
 through ``lift``: while recording it makes them Vars, under ``no_grad()`` it
 unwraps Vars to their arrays.  The free functions below (``pad``,
-``contiguous``, ``dilate``, ``stack``, ``concat``, ``lstm_cell``) are the only
-definitions of their ops: each builds a graph node when an operand is a Var
-and otherwise does plain numpy, so the same kernel code runs on Vars for
-training and arrays in, arrays out for inference.  ``lstm_cell`` returns
-``(h, c)`` on both.
+``contiguous``, ``dilate``, ``concat``) are the only definitions of their
+ops: each builds a graph node when an operand is a Var and otherwise does
+plain numpy, so the same kernel code runs on Vars for training and arrays
+in, arrays out for inference.  An op that computes its own gradients, such
+as ``nn.lstm_group``'s recurrence loop, runs on arrays either way and, while
+recording, becomes one node through ``multi_node``.
 
 Var sets ``__array_ufunc__ = None``, so an ndarray on the left of ``+``,
 ``-``, ``*``, ``/`` or ``@`` defers to the Var's reflected operator.
@@ -240,7 +241,7 @@ class Var:
 
     def sigmoid(self):
         a = self
-        out_data = _sigmoid(a.data)
+        out_data = 1.0 / (1.0 + np.exp(-a.data))
 
         def bwd(g):
             a._accum(g * out_data * (1.0 - out_data), own=True)
@@ -314,54 +315,6 @@ class Var:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None  # interior gradients are no longer needed
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def lstm_cell(g, c_prev, hidden):
-    """Fused LSTM cell on pre-activation gates g (B, 4H) and the previous
-    cell state c_prev (B, H), gate order (input, forget, cell, output).
-
-    Returns (h, c).  When an operand is a Var they are two nodes, c from
-    (g, c_prev) and h from c: fusing the gate math keeps the graph small
-    enough to backpropagate through long sequences.
-    """
-    h = hidden
-    if not isinstance(g, Var) and not isinstance(c_prev, Var):
-        s = _sigmoid(g)  # one pass over all gates; the cell block's is unused
-        c = s[:, h:2 * h] * c_prev + s[:, :h] * np.tanh(g[:, 2 * h:3 * h])
-        return s[:, 3 * h:] * np.tanh(c), c
-    gv, cv = as_var(g), as_var(c_prev)
-    gd, c_prev_data = gv.data, cv.data
-    # separate gate arrays: the backward closures hold them until backward
-    # runs, and one pass over all gates would hold the unused cell block too
-    gi = _sigmoid(gd[:, :h])
-    gf = _sigmoid(gd[:, h:2 * h])
-    gc = np.tanh(gd[:, 2 * h:3 * h])
-    go = _sigmoid(gd[:, 3 * h:])
-    c = gf * c_prev_data + gi * gc
-    th = np.tanh(c)
-    # h's backward runs before c's (c is h's parent) and leaves the output
-    # gate's gradient here; it stays 0 when h is not reached
-    g_go = [0.0]
-
-    def bwd_c(g_c):
-        gg = np.empty_like(gd)
-        gg[:, :h] = (g_c * gc) * gi * (1.0 - gi)
-        gg[:, h:2 * h] = (g_c * c_prev_data) * gf * (1.0 - gf)
-        gg[:, 2 * h:3 * h] = (g_c * gi) * (1.0 - gc * gc)
-        gg[:, 3 * h:] = g_go[0] * go * (1.0 - go)
-        gv._accum(gg, own=True)
-        cv._accum(g_c * gf, own=True)
-
-    def bwd_h(gh):
-        g_go[0] = gh * th
-        c_node._accum(gh * go * (1.0 - th * th), own=True)
-
-    c_node = Var._make(c, (gv, cv), bwd_c)
-    return Var._make(go * th, (c_node,), bwd_h), c_node
 
 
 # ---- free functions ------------------------------------------------------
@@ -448,18 +401,35 @@ def concat(vars_, axis=0):
     return Var._make(out_data, vars_, bwd)
 
 
-def stack(vars_, axis=0):
-    vars_ = list(vars_)
-    if not any(isinstance(v, Var) for v in vars_):
-        return np.stack(vars_, axis=axis)
-    out_data = np.stack([value(v) for v in vars_], axis=axis)
+def multi_node(outs, inputs, backward):
+    """One graph node for an op with several outputs.
 
-    def bwd(g):
-        for i, v in enumerate(vars_):
-            if isinstance(v, Var):
-                v._accum(np.take(g, i, axis=axis), own=True)
+    outs: the op's output arrays; inputs: its operands, Vars or constants.
+    Returns one Var per output.  backward(gs) runs once, after every output's
+    gradient is in, with gs[i] the gradient of outs[i] or None where none
+    reached it.  It returns one gradient or None per input, each a fresh
+    array; every Var input accumulates its own, so an input passed twice
+    gets the sum.
+    """
+    gs = [None] * len(outs)
 
-    return Var._make(out_data, vars_, bwd)
+    def bwd(_):
+        grads = backward(gs)
+        gs[:] = [None] * len(outs)
+        for x, g in zip(inputs, grads):
+            if g is not None and isinstance(x, Var):
+                x._accum(g, own=True)
+
+    core = Var._make(np.zeros(()), inputs, bwd)
+
+    def out(i, data):
+        def bwd_out(g):
+            gs[i] = g
+            core.grad = core.data  # not None, so that core's backward runs
+
+        return Var._make(data, (core,), bwd_out)
+
+    return [out(i, d) for i, d in enumerate(outs)]
 
 
 def log10(x):

@@ -6,9 +6,8 @@ init-weights.  Exit codes: 0 ok, 2 input error, 3 numeric error.
 
 import argparse
 import contextlib
+import ctypes
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -30,24 +29,48 @@ from .weights_io import WeightFormatError, load_weights, save_weights
 
 # streaming per-hop times in `bench` cover at least this much audio
 BENCH_STREAM_SECONDS = 3.0
-# environment variables that limit BLAS and OpenMP thread pools when set
-# before the library loads
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class InputError(ValueError):
     pass
 
 
+def _bundled_openblas():
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, through
+    ctypes, or None when that library or its calls are absent."""
+    root = Path(np.__file__).resolve().parent.parent
+    for path in sorted(root.glob("numpy.libs/libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
 @contextlib.contextmanager
 def _single_threaded():
-    """Limit BLAS and OpenMP to one thread.  Yields whether the limit holds:
-    True when threadpoolctl reports every thread pool it found at one thread;
-    False without threadpoolctl, which leaves thread counts as they are."""
+    """Limit BLAS and OpenMP to one thread; yields whether the limit holds.
+
+    With threadpoolctl: whether it reports every pool it found at one thread.
+    Without it, numpy's bundled OpenBLAS is set to one thread in-process and
+    read back, and restored on exit; False when there is no such library."""
     try:
         from threadpoolctl import threadpool_info, threadpool_limits
     except ImportError:
-        yield False
+        blas = _bundled_openblas()
+        if blas is None:
+            yield False
+            return
+        get, set_ = blas
+        before = get()
+        set_(1)
+        try:
+            yield get() == 1
+        finally:
+            set_(before)
         return
     with threadpool_limits(limits=1):
         pools = threadpool_info()
@@ -244,8 +267,8 @@ def cmd_traintoy(args):
           f"over {args.steps} steps (threads_pinned: {str(pinned).lower()})")
 
 
-def _bench_report(args, pinned):
-    """Time offline inference and streaming hops; the bench JSON report."""
+def cmd_bench(args):
+    """Time offline inference and streaming hops on one BLAS thread."""
     if args.weights:
         store, cfg = _load_model(args.weights)
     else:
@@ -259,17 +282,18 @@ def _bench_report(args, pinned):
     n_stream = int(max(args.seconds, BENCH_STREAM_SECONDS) * RATE) // hop * hop
     ys = 0.1 * rng.normal(size=n_stream)
     xs = 0.1 * rng.normal(size=n_stream)
-    t0 = time.perf_counter()
-    forward(y, x, store, cfg)
-    wall = time.perf_counter() - t0
-    sess = StreamingSession(store, cfg)
-    hop_s = []
-    for i in range(0, n_stream, hop):
+    with _single_threaded() as pinned:
         t0 = time.perf_counter()
-        sess.feed(ys[i:i + hop], xs[i:i + hop])
-        hop_s.append(time.perf_counter() - t0)
+        forward(y, x, store, cfg)
+        wall = time.perf_counter() - t0
+        sess = StreamingSession(store, cfg)
+        hop_s = []
+        for i in range(0, n_stream, hop):
+            t0 = time.perf_counter()
+            sess.feed(ys[i:i + hop], xs[i:i + hop])
+            hop_s.append(time.perf_counter() - t0)
     hop_ms = 1000.0 * np.asarray(hop_s)
-    return {
+    _print_report({
         "tool_version": __version__,
         "audio_seconds": args.seconds,
         "processing_seconds": wall,
@@ -283,43 +307,7 @@ def _bench_report(args, pinned):
         "latency_samples": sess.algorithmic_latency,
         "latency_ms": 1000.0 * sess.algorithmic_latency / RATE,
         "params": count_params(store),
-    }
-
-
-def _bench_child(argv):
-    """Entry point of the child process that `cmd_bench` starts: its BLAS
-    and OpenMP read the one-thread limit from the environment as they load."""
-    args = build_parser().parse_args(argv)
-    args.func = lambda a: _print_report(_bench_report(a, pinned=True))
-    _dispatch(args)
-
-
-def _bench_in_child(args):
-    """The bench report from a fresh interpreter started with every BLAS and
-    OpenMP thread variable at 1; exits with the child's status if it fails."""
-    env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
-    # the child imports this package from where the parent found it
-    root = str(Path(__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    code = "import sys; from dcaec.cli import _bench_child; _bench_child(sys.argv[1:])"
-    argv = ["bench", "--config", args.config, "--seconds", repr(args.seconds),
-            "--seed", str(args.seed)] + (["--weights", args.weights] if args.weights else [])
-    proc = subprocess.run([sys.executable, "-c", code, *argv],
-                          env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        sys.exit(proc.returncode)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def cmd_bench(args):
-    with _single_threaded() as pinned:
-        if pinned:
-            rep = _bench_report(args, pinned)
-    if not pinned:
-        # without threadpoolctl the limit can only be set before BLAS loads
-        rep = _bench_in_child(args)
-    _print_report(rep)
+    })
 
 
 def cmd_init_weights(args):
@@ -394,11 +382,8 @@ def build_parser():
 
 
 def main(argv=None):
-    _dispatch(build_parser().parse_args(argv))
-
-
-def _dispatch(args):
     """Run the subcommand; input errors exit 2, numeric errors 3."""
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except (InputError, WavFormatError, WeightFormatError, WeightError,

@@ -162,12 +162,6 @@ class MaskSpec:
     re: np.ndarray
     im: np.ndarray
 
-    def magnitude(self):
-        return np.hypot(self.re, self.im)
-
-    def phase(self):
-        return np.arctan2(self.im, self.re)
-
 
 def count_params(store: WeightStore) -> int:
     return int(sum(t.size for t in store.tensors.values()))

@@ -12,19 +12,21 @@ arrays, building no graph.  One code path serves inference and training.
 
 Recurrences go through one kernel, `lstm_group`, which advances K independent
 LSTMs (each with its own weights and direction) over inputs of one length
-and batch.  On arrays it steps the K of them together, one Python step per
-time step, bit for bit as the gradient graph computes them; on Vars it
-builds each recurrence's graph of `lstm_cell` nodes, one after another.  The
-F-T block's F-stage (re/im x forward/backward) and the complex LSTM's four
-recurrences each run as K = 4, every other LSTM as K = 1 or 2.
+and batch, one Python step per time step for all K.  The step is
+`lstm_cell`, and the loop is the same on both paths: on arrays it runs
+alone; while gradients record it also keeps its gate activations and cell
+states, and the group becomes one graph node with a hand-written
+backpropagation through time.  The F-T block's F-stage (re/im x
+forward/backward) and the complex LSTM's four recurrences each run as K = 4,
+every other LSTM as K = 1 or 2.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Var, concat, contiguous, dilate, lift, lstm_cell, pad,
-                       stack, value)
+from .autodiff import (Var, concat, contiguous, dilate, lift, multi_node, pad,
+                       value)
 
 
 @dataclass
@@ -178,90 +180,138 @@ def _cells(spec: LstmSpec):
             for s in sufs]
 
 
-def _lstm_graph(x, cell, state, hidden):
-    """One recurrence as a graph of lstm_cell nodes, for gradient work.
-
-    x: Var (S, B, I).  Returns (y (S, B, H), (h, c)) with h, c shaped (B, H).
-    A reverse cell scans x from its end; y is in x's time order either way.
+def lstm_cell(g, c_prev, c, a, tc, tmp, h):
+    """One time step of K LSTMs, in place; gate order (input, forget, cell,
+    output).  g (K, N, 4H): the gates' pre-activations.  Writes the gate
+    sigmoids to a (K, N, 4H), whose cell block goes unused; the cell gate's
+    tanh to tc (K, N, H), which may be that block; the new cell state to c,
+    which may be c_prev itself; the new hidden state to h, which it returns.
+    tmp (K, N, H) is scratch and may be tc when tc need not be kept.
     """
-    w_ih, w_hh, b_ih, b_hh, reverse = cell
-    w_ih, w_hh, b_ih, b_hh = (lift(v) for v in (w_ih, w_hh, b_ih, b_hh))
-    if reverse:
-        x = x[::-1]
-    s, b, i = x.shape
-    if state is None:
-        h = lift(np.zeros((b, hidden), dtype=x.dtype))
-        c = lift(np.zeros((b, hidden), dtype=x.dtype))
-    else:
-        h, c = lift(state[0]), lift(state[1])
-    gx = (x.reshape(s * b, i) @ _wt(w_ih) + (b_ih + b_hh)).reshape(s, b, 4 * hidden)
-    whh_t = contiguous(_wt(w_hh))
-    ys = []
-    for t in range(s):
-        h, c = lstm_cell(gx[t] + h @ whh_t, c, hidden)
-        ys.append(h)
-    y = stack(ys, 0)
-    return (y[::-1] if reverse else y), (h, c)
+    hd = h.shape[-1]
+    np.negative(g, out=a)
+    np.exp(a, out=a)
+    np.add(a, 1.0, out=a)
+    np.divide(1.0, a, out=a)
+    np.tanh(g[..., 2 * hd:3 * hd], out=tc)
+    np.multiply(a[..., :hd], tc, out=tmp)
+    np.multiply(c_prev, a[..., hd:2 * hd], out=c)
+    c += tmp
+    np.tanh(c, out=tmp)
+    return np.multiply(a[..., 3 * hd:], tmp, out=h)
 
 
-def lstm_group(xs, cells, states, hidden):
-    """Advance K independent LSTM recurrences of one length S and batch N.
+def lstm_group(xs, cells, states, hd):
+    """Advance K independent LSTMs of one length S, batch N and hidden size hd.
 
     xs: K inputs (S, N, I); cells: K (w_ih, w_hh, b_ih, b_hh, reverse)
     tuples (see _cells); states: K (h, c) pairs shaped (N, H), or None for
     zeros.  Returns the K outputs (S, N, H), each in its input's time order,
     and the K final (h, c) states.
 
-    While gradients record, each recurrence is built as a graph of lstm_cell
-    nodes, one after another.  On arrays the K recurrences take one Python
-    step per time step, in gate and cell buffers allocated once per call,
-    with lstm_cell's arithmetic in the same order, so the results are the
-    same bits.  A w_hh in Fortran order (see model.inference_params) makes
-    the per-step recurrent operand a C-order view that is never copied.
+    One loop serves inference and training: one Python step per time step
+    for all K, a call of lstm_cell, in buffers allocated once per call.  On
+    arrays the loop runs alone.  While gradients record it also keeps every
+    step's gate activations and cell state, and the group becomes one graph
+    node whose backward is _lstm_bptt.  A w_hh in Fortran order (see
+    model.inference_params) makes the per-step recurrent operand a C-order
+    view that is never copied.
     """
     xs = [lift(x) for x in xs]
-    if isinstance(xs[0], Var):
-        out = [_lstm_graph(x, cell, st, hidden) for x, cell, st in zip(xs, cells, states)]
-        return [y for y, _ in out], [st for _, st in out]
-    cells = [tuple(lift(w) for w in cell[:4]) + cell[4:] for cell in cells]
+    record = isinstance(xs[0], Var)
     k, (s, n, _) = len(xs), xs[0].shape
-    hd = hidden
-    dt = np.result_type(*xs, *(w for cell in cells for w in cell[:4]))
+    xd = [value(x) for x in xs]
+    ws = [[value(w) for w in cell[:4]] for cell in cells]
+    rev = [cell[4] for cell in cells]
+    dt = np.result_type(*xd, *(w for cw in ws for w in cw))
     # input projections, written in place, the reverse cells' scanned from
     # the end, so that step t adds the recurrent products to gx[:, t]
     gx = np.empty((k, s, n, 4 * hd), dt)
-    for j, (x, (w_ih, _, b_ih, b_hh, reverse)) in enumerate(zip(xs, cells)):
-        x = x[::-1] if reverse else x
+    for j, (x, (w_ih, _, b_ih, b_hh)) in enumerate(zip(xd, ws)):
+        x = x[::-1] if rev[j] else x
         np.matmul(x.reshape(s * n, -1), _wt(w_ih), out=gx[j].reshape(s * n, 4 * hd))
         gx[j] += b_ih + b_hh
-    whh_t = [contiguous(_wt(cell[1])) for cell in cells]
-    y = np.empty((k, s, n, hd), dt)
-    h = np.zeros((k, n, hd), dt)
+    whh_t = [contiguous(_wt(cw[1])) for cw in ws]
+    hs = np.empty((k, s + 1, n, hd), dt)   # h_0 .. h_S
+    hs[:, 0] = 0.0
     c = np.zeros((k, n, hd), dt)
     for j, st in enumerate(states):
         if st is not None:
-            h[j], c[j] = lift(st[0]), lift(st[1])
+            hs[j, 0], c[j] = value(st[0]), value(st[1])
+    a = np.empty((k, n, 4 * hd), dt)    # gate activations of one step
+    tmp = np.empty((k, n, hd), dt)
+    if record:  # every step's activations, and c_0 .. c_S
+        acts = np.empty((k, s, n, 4 * hd), dt)
+        cs = np.empty((k, s + 1, n, hd), dt)
+        cs[:, 0] = c
     hw = np.empty((k, n, 4 * hd), dt)   # recurrent products
-    sg = np.empty((k, n, 4 * hd), dt)   # gate sigmoids
-    tg = np.empty((k, n, hd), dt)       # tanh scratch
     for t in range(s):
         for j in range(k):
-            np.matmul(h[j], whh_t[j], out=hw[j])
+            np.matmul(hs[j, t], whh_t[j], out=hw[j])
         g = gx[:, t]
         g += hw
-        # lstm_cell's array arithmetic, in place
-        np.negative(g, out=sg)
-        np.exp(sg, out=sg)
-        np.add(sg, 1.0, out=sg)
-        np.divide(1.0, sg, out=sg)
-        np.tanh(g[..., 2 * hd:3 * hd], out=tg)
-        tg *= sg[..., :hd]
-        c *= sg[..., hd:2 * hd]
-        c += tg
-        np.tanh(c, out=tg)
-        h = np.multiply(sg[..., 3 * hd:], tg, out=y[:, t])
-    ys = [y[j, ::-1] if cell[4] else y[j] for j, cell in enumerate(cells)]
-    return ys, [(h[j].copy(), c[j].copy()) for j in range(k)]
+        if record:
+            a = acts[:, t]
+            lstm_cell(g, cs[:, t], cs[:, t + 1], a, a[..., 2 * hd:3 * hd], tmp, hs[:, t + 1])
+        else:
+            lstm_cell(g, c, c, a, tmp, tmp, hs[:, t + 1])
+    ys = [hs[j, :0:-1] if rev[j] else hs[j, 1:] for j in range(k)]
+    if not record:
+        return ys, [(hs[j, s].copy(), c[j].copy()) for j in range(k)]
+    inputs = []
+    for x, cell, st in zip(xs, cells, states):
+        inputs += [x, *cell[:4], *(st or (None, None))]
+    outs = multi_node(ys + list(cs[:, s]), inputs,
+                      lambda gs: _lstm_bptt(gs, xd, ws, rev, acts, cs, hs))
+    # a final h is its output's last step in scan order
+    return outs[:k], [(y[0] if r else y[-1], c) for y, r, c in zip(outs, rev, outs[k:])]
+
+
+def _lstm_bptt(gs, xd, ws, rev, acts, cs, hs):
+    """lstm_group's backward.  gs: the gradients of its outputs, the K y
+    and then the K final c (None where none arrived).  Returns, per
+    recurrence, those of x, w_ih, w_hh, b_ih, b_hh, h_0 and c_0.
+
+    The K recurrences step back through time together; then each weight
+    gradient and dx is one gemm per recurrence, each bias gradient one sum.
+    """
+    k, s, n, h4 = acts.shape
+    hd = h4 // 4
+    dy = np.zeros((k, s, n, hd), acts.dtype)   # dL/dh_t from outside the loop
+    dc = np.zeros((k, n, hd), acts.dtype)
+    for j in range(k):
+        if gs[j] is not None:
+            dy[j] = gs[j][::-1] if rev[j] else gs[j]
+        if gs[k + j] is not None:
+            dc[j] = gs[k + j]
+    tc = np.tanh(cs[:, 1:])
+    dg = np.empty_like(acts)
+    dh = np.zeros((k, n, hd), acts.dtype)   # dL/dh_t through step t + 1
+    for t in range(s - 1, -1, -1):
+        a, th, d = acts[:, t], tc[:, t], dg[:, t]
+        gi, gf, gc, go = (a[..., i * hd:(i + 1) * hd] for i in range(4))
+        dh += dy[:, t]
+        slope = a * (1.0 - a)
+        np.subtract(1.0, gc * gc, out=slope[..., 2 * hd:3 * hd])
+        np.multiply(dh, th, out=d[..., 3 * hd:])
+        dc += dh * go * (1.0 - th * th)
+        np.multiply(dc, gc, out=d[..., :hd])
+        np.multiply(dc, cs[:, t], out=d[..., hd:2 * hd])
+        np.multiply(dc, gi, out=d[..., 2 * hd:3 * hd])
+        d *= slope
+        dc *= gf
+        for j in range(k):
+            np.matmul(d[j], ws[j][1], out=dh[j])
+    grads = []
+    for j in range(k):
+        d_scan = dg[j].reshape(s * n, h4)
+        d_x = (dg[j, ::-1] if rev[j] else dg[j]).reshape(s * n, h4)
+        db = d_scan.sum(axis=0)
+        grads += [(d_x @ ws[j][0]).reshape(s, n, -1),
+                  d_x.T @ xd[j].reshape(s * n, -1),
+                  d_scan.T @ hs[j, :s].reshape(s * n, hd),
+                  db, db.copy(), dh[j].copy(), dc[j].copy()]
+    return grads
 
 
 def lstm_seq(x, spec: LstmSpec, state=None):

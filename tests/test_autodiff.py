@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcaec.autodiff import (Var, as_var, concat, dilate, dot, log10, lstm_cell, no_grad,
-                            pad, stack)
+from dcaec.autodiff import Var, as_var, concat, dilate, dot, log10, no_grad, pad
+from dcaec.nn import lstm_cell, lstm_group
 from dcaec.training import backward, finite_diff, rel_error
 
 
@@ -109,16 +109,15 @@ def test_getitem_strided_and_reversed():
     _scalar_check(build, arrays)
 
 
-def test_pad_dilate_concat_stack():
+def test_pad_dilate_concat():
     rng = np.random.default_rng(4)
     arrays = {"x": rng.normal(size=(3, 4)), "y": rng.normal(size=(2, 4))}
 
     def build(p):
         c = concat([p["x"], p["y"]], axis=0)
-        s = stack([p["x"].sum(axis=0), p["y"].sum(axis=0)], 0)
         d = dilate(p["x"], 1, 3)
         padded = pad(c, ((1, 2), (0, 1)))
-        return padded.sum() + (s * s).sum() + (d * d).sum()
+        return padded.sum() + (c * c).sum() + (d * d).sum()
 
     _scalar_check(build, arrays)
 
@@ -145,42 +144,118 @@ def test_log10_and_dot():
 
 
 def test_lstm_cell_matches_unfused_math():
+    """nn.lstm_cell, the one step of every recurrence, for K = 2 at once:
+    into fresh buffers, and in place with the scratch reused for tanh."""
     rng = np.random.default_rng(7)
-    h = 3
-    g = rng.normal(size=(2, 4 * h))
-    c_prev = rng.normal(size=(2, h))
-    h_out, c_out = lstm_cell(as_var(g), as_var(c_prev), h)
+    k, n, h = 2, 3, 4
+    g = rng.normal(size=(k, n, 4 * h))
+    c_prev = rng.normal(size=(k, n, h))
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    gi, gf, gc, go = sig(g[:, :h]), sig(g[:, h:2 * h]), np.tanh(g[:, 2 * h:3 * h]), sig(g[:, 3 * h:])
-    c = gf * c_prev + gi * gc
-    np.testing.assert_allclose(c_out.data, c, atol=1e-12)
-    np.testing.assert_allclose(h_out.data, go * np.tanh(c), atol=1e-12)
+    gi, gf, gc, go = (sig(g[..., :h]), sig(g[..., h:2 * h]),
+                      np.tanh(g[..., 2 * h:3 * h]), sig(g[..., 3 * h:]))
+    c_ref = gf * c_prev + gi * gc
+    h_ref = go * np.tanh(c_ref)
+    a, c, h_out = np.empty((k, n, 4 * h)), np.empty((k, n, h)), np.empty((k, n, h))
+    assert lstm_cell(g, c_prev, c, a, a[..., 2 * h:3 * h], np.empty((k, n, h)), h_out) is h_out
+    np.testing.assert_allclose(a, np.concatenate([gi, gf, gc, go], axis=-1), atol=1e-12)
+    np.testing.assert_allclose(c, c_ref, atol=1e-12)
+    np.testing.assert_allclose(h_out, h_ref, atol=1e-12)
+    c_in_place, tmp, h_in_place = c_prev.copy(), np.empty((k, n, h)), np.empty((k, n, h))
+    lstm_cell(g, c_in_place, c_in_place, a, tmp, tmp, h_in_place)
+    np.testing.assert_array_equal(c_in_place, c)
+    np.testing.assert_array_equal(h_in_place, h_out)
 
 
-def test_lstm_cell_gradient():
-    rng = np.random.default_rng(8)
-    h = 2
-    arrays = {"g": rng.normal(size=(3, 4 * h)), "c": rng.normal(size=(3, h))}
-    r_h, r_c = rng.normal(size=(3, h)), rng.normal(size=(3, h))
-
-    def build(p):
-        h_out, c_out = lstm_cell(p["g"], p["c"], h)
-        return (h_out * r_h).sum() + (c_out * r_c).sum()
-
-    _scalar_check(build, arrays)
+# ---- the fused LSTM node against a per-step graph of Var primitives -------
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_lstm_cell_arrays_and_vars_agree_bitwise(dtype):
-    rng = np.random.default_rng(9)
-    h = 4
-    g = rng.normal(size=(3, 4 * h)).astype(dtype)
-    c_prev = rng.normal(size=(3, h)).astype(dtype)
-    h_arr, c_arr = lstm_cell(g, c_prev, h)
-    h_var, c_var = lstm_cell(as_var(g), as_var(c_prev), h)
-    assert isinstance(h_var, Var) and isinstance(c_var, Var)
-    np.testing.assert_array_equal(h_var.data, h_arr)
-    np.testing.assert_array_equal(c_var.data, c_arr)
+def lstm_graph_oracle(xs, cells, states, hd):
+    """Each recurrence built step by step from Var @, +, *, sigmoid and
+    tanh: per recurrence, its h_t in x's time order and its final (h, c)."""
+    out = []
+    for x, (w_ih, w_hh, b_ih, b_hh, reverse), st in zip(xs, cells, states):
+        s, n, _ = x.shape
+        h, c = st if st is not None else (np.zeros((n, hd)), np.zeros((n, hd)))
+        hs = []
+        for t in (range(s - 1, -1, -1) if reverse else range(s)):
+            g = x[t] @ w_ih.transpose(1, 0) + b_ih + h @ w_hh.transpose(1, 0) + b_hh
+            gi, gf = g[:, :hd].sigmoid(), g[:, hd:2 * hd].sigmoid()
+            gc, go = g[:, 2 * hd:3 * hd].tanh(), g[:, 3 * hd:].sigmoid()
+            c = gf * c + gi * gc
+            h = go * c.tanh()
+            hs.append(h)
+        out.append((hs[::-1] if reverse else hs, (h, c)))
+    return out
+
+
+LSTM_GROUPS = {
+    "k1_forward": dict(reverse=[False]),
+    "k1_reverse": dict(reverse=[True]),
+    "k2": dict(reverse=[False, True]),
+    "k4": dict(reverse=[False, True, True, False]),
+    # complex_lstm's layout: cells (r, r, i, i) on inputs (re, im, re, im)
+    "k4_shared_weights": dict(reverse=[False] * 4, shared=True),
+    "k2_carried_states": dict(reverse=[True, False], carried=True),
+    "k4_final_state_only": dict(reverse=[False, True, False, True], carried=True,
+                                final_only=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LSTM_GROUPS))
+def test_lstm_group_gradients_match_per_step_graph(case):
+    opts = LSTM_GROUPS[case]
+    reverse = opts["reverse"]
+    k, s, n, i, hd = len(reverse), 5, 3, 4, 3
+    rng = np.random.default_rng(sorted(LSTM_GROUPS).index(case))
+    arrays = {}
+    src = [(j % 2, j // 2) if opts.get("shared") else (j, j) for j in range(k)]
+    for xi, wi in src:
+        arrays[f"x{xi}"] = rng.normal(size=(s, n, i))
+        for name, shape in (("w_ih", (4 * hd, i)), ("w_hh", (4 * hd, hd)),
+                            ("b_ih", (4 * hd,)), ("b_hh", (4 * hd,))):
+            arrays[f"{name}{wi}"] = 0.5 * rng.normal(size=shape)
+    if opts.get("carried"):
+        for j in range(k):
+            arrays[f"h{j}"], arrays[f"c{j}"] = rng.normal(size=(2, n, hd))
+    r_y = rng.normal(size=(k, s, n, hd))
+    r_h, r_c = rng.normal(size=(2, k, n, hd))
+
+    def group_args(p):
+        xs = [p[f"x{xi}"] for xi, _ in src]
+        cells = [tuple(p[f"{name}{wi}"] for name in ("w_ih", "w_hh", "b_ih", "b_hh"))
+                 + (rev,) for (_, wi), rev in zip(src, reverse)]
+        states = [(p[f"h{j}"], p[f"c{j}"]) if opts.get("carried") else None
+                  for j in range(k)]
+        return xs, cells, states
+
+    def loss(hs_per_step, finals):
+        total = None
+        for j, (hs, (h, c)) in enumerate(zip(hs_per_step, finals)):
+            terms = [] if opts.get("final_only") else [(ht * r_y[j, t]).sum()
+                                                      for t, ht in enumerate(hs)]
+            terms += [(h * r_h[j]).sum(), (c * r_c[j]).sum()]
+            for term in terms:
+                total = term if total is None else total + term
+        return total
+
+    def fused(p):
+        ys, finals = lstm_group(*group_args(p), hd)
+        assert all(isinstance(v, Var) for v in ys + [v for st in finals for v in st])
+        return loss([[y[t] for t in range(s)] for y in ys], finals)
+
+    def oracle(p):
+        out = lstm_graph_oracle(*group_args(p), hd)
+        return loss([hs for hs, _ in out], [st for _, st in out])
+
+    p_fused = {name: as_var(a) for name, a in arrays.items()}
+    p_oracle = {name: as_var(a) for name, a in arrays.items()}
+    l_fused, l_oracle = fused(p_fused), oracle(p_oracle)
+    np.testing.assert_allclose(l_fused.data, l_oracle.data, rtol=1e-12)
+    g_fused = backward(l_fused, p_fused)
+    g_oracle = backward(l_oracle, p_oracle)
+    for name in arrays:
+        assert np.any(g_oracle[name] != 0), name
+        assert rel_error(g_fused[name], g_oracle[name]) <= 1e-10, name
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*", "/", "@"])

@@ -1,8 +1,8 @@
 """CLI behaviour via main(argv): exit codes, JSON reports, file outputs."""
 
-import contextlib
 import json
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,12 +29,13 @@ def _wav(path, samples):
 
 
 def _check_threads_pinned(rep):
-    """The report says whether BLAS really ran on one thread."""
+    """The report says whether BLAS really ran on one thread: without
+    threadpoolctl, exactly when numpy's bundled OpenBLAS can be pinned."""
     assert isinstance(rep["threads_pinned"], bool)
     try:
         import threadpoolctl  # noqa: F401
     except ImportError:
-        assert rep["threads_pinned"] is False
+        assert rep["threads_pinned"] is (cli._bundled_openblas() is not None)
 
 
 def test_version_flag(capsys):
@@ -201,22 +202,11 @@ def test_traintoy_smoke(tmp_path, capsys):
 
 
 def test_bench_report(desk_weights, capsys, monkeypatch):
-    """Without an in-process thread limit (threadpoolctl missing, or forced
-    off here) the timed part runs in a child process that starts with every
-    BLAS/OpenMP thread variable at 1, and only that child says pinned."""
-    @contextlib.contextmanager
-    def no_limit():
-        yield False
+    """bench times everything in-process: it starts no child process."""
+    def no_child(*args, **kwargs):
+        raise AssertionError("bench started a child process")
 
-    started = []
-    run = subprocess.run
-
-    def spy(cmd, **kwargs):
-        started.append(kwargs["env"])
-        return run(cmd, **kwargs)
-
-    monkeypatch.setattr(cli, "_single_threaded", no_limit)
-    monkeypatch.setattr(subprocess, "run", spy)
+    monkeypatch.setattr(subprocess, "Popen", no_child)
     main(["bench", "--weights", str(desk_weights), "--seconds", "0.5"])
     rep = json.loads(capsys.readouterr().out.strip())
     assert rep["params"] == 72_028
@@ -225,10 +215,24 @@ def test_bench_report(desk_weights, capsys, monkeypatch):
     assert rep["stream_seconds"] >= 3.0
     assert 0 < rep["stream_hop_ms_p50"] <= rep["stream_hop_ms_p99"] <= rep["stream_hop_ms_max"]
     assert rep["stream_rtf"] > 0
-    assert len(started) == 1
-    assert all(started[0][v] == "1" for v in
-               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
-    assert rep["threads_pinned"] is True
+    _check_threads_pinned(rep)
+
+
+def test_single_threaded_without_threadpoolctl_pins_and_restores(monkeypatch):
+    """Without threadpoolctl the limit goes through numpy's bundled OpenBLAS
+    in-process, and its thread count comes back on exit."""
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    blas = cli._bundled_openblas()
+    if blas is None:
+        with cli._single_threaded() as pinned:
+            assert pinned is False
+        return
+    get, _ = blas
+    before = get()
+    with cli._single_threaded() as pinned:
+        assert pinned is True
+        assert get() == 1
+    assert get() == before
 
 
 def test_bench_child_errors_keep_exit_codes(tmp_path, capsys):
