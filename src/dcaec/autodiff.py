@@ -8,12 +8,12 @@ treated as constants and receive no gradient.
 Vars exist only where gradients are recorded.  Kernels pass their inputs
 through ``lift``: while recording it makes them Vars, under ``no_grad()`` it
 unwraps Vars to their arrays.  The free functions below (``pad``,
-``contiguous``, ``dilate``, ``concat``) are the only definitions of their
-ops: each builds a graph node when an operand is a Var and otherwise does
-plain numpy, so the same kernel code runs on Vars for training and arrays
-in, arrays out for inference.  An op that computes its own gradients, such
-as ``nn.lstm_group``'s recurrence loop, runs on arrays either way and, while
-recording, becomes one node through ``multi_node``.
+``contiguous``, ``concat``, ``unfold``, ``fold``) are the only definitions
+of their ops: each builds graph nodes when an operand is a Var and otherwise
+does plain numpy, so the same kernel code runs on Vars for training and
+arrays in, arrays out for inference.  An op that computes its own gradients,
+such as ``nn.lstm_group``'s recurrence loop, runs on arrays either way and,
+while recording, becomes one node through ``multi_node``.
 
 Var sets ``__array_ufunc__ = None``, so an ndarray on the left of ``+``,
 ``-``, ``*``, ``/`` or ``@`` defers to the Var's reflected operator.
@@ -360,26 +360,38 @@ def pad(x, pad_width):
     return _unary(x, out, lambda g: g[sl])
 
 
-def dilate(x, axis, stride):
-    """Insert stride-1 zeros between consecutive elements along axis."""
-    if stride == 1:
-        return x
-    a = value(x)
-    shp = list(a.shape)
-    shp[axis] = (shp[axis] - 1) * stride + 1
-    idx = [slice(None)] * len(shp)
-    idx[axis] = slice(0, None, stride)
-    idx = tuple(idx)
-    out = np.zeros(shp, dtype=a.dtype)
-    out[idx] = a
-    return _unary(x, out, lambda g: g[idx])
-
-
 def contiguous(x):
     """x in C order; matmul on strided views is very slow."""
     if isinstance(x, Var) and x.data.flags.c_contiguous:
         return x
     return _unary(x, np.ascontiguousarray(value(x)), lambda g: g)
+
+
+def unfold(x, kernel, stride, padding):
+    """im2col of x (C, T, F), zero-padded by padding (p_t, p_f), for a kernel
+    (k_t, k_f) at stride (s_t, s_f): (k_t*k_f*C, T_out*F_out), whose row
+    (dt*k_f + df)*C + c holds tap (dt, df) of channel c.  fold is its adjoint."""
+    (kt, kf), (st, sf) = kernel, stride
+    xp = pad(x, ((0, 0), *((p, p) for p in padding)))
+    c, tp, fp = xp.shape
+    to, fo = (tp - kt) // st + 1, (fp - kf) // sf + 1
+    taps = [xp[:, dt:dt + st * (to - 1) + 1:st, df:df + sf * (fo - 1) + 1:sf]
+            for dt in range(kt) for df in range(kf)]
+    return concat(taps, axis=0).reshape(kt * kf * c, to * fo)
+
+
+def fold(cols, kernel, stride, padding, shape):
+    """Overlap-add (col2im), the adjoint of unfold: each tap's rows of cols
+    are added at their strided positions of a zero (C, T + 2 p_t, F + 2 p_f)
+    array, which is then cropped to (C,) + shape, shape = (T, F)."""
+    (kt, kf), (st, sf), (pt, pf), (t, f) = kernel, stride, padding, shape
+    to, fo = (t + 2 * pt - kt) // st + 1, (f + 2 * pf - kf) // sf + 1
+    taps = value(cols).reshape(kt, kf, -1, to, fo)
+    out = np.zeros((taps.shape[2], t + 2 * pt, f + 2 * pf), taps.dtype)
+    for dt, df in np.ndindex(kt, kf):
+        out[:, dt:dt + st * to:st, df:df + sf * fo:sf] += taps[dt, df]
+    return _unary(cols, out[:, pt:pt + t, pf:pf + f],
+                  lambda g: unfold(g, kernel, stride, padding))
 
 
 def concat(vars_, axis=0):

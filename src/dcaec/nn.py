@@ -1,11 +1,12 @@
 """Forward kernels for the network layers.
 
 Complex tensors are carried as (re, im) pairs of real arrays.  A complex
-convolution with kernel K = Kr + j*Ki applied to W = Wr + j*Wi is
-
-    H = (Kr*Wr - Ki*Wi) + j(Kr*Wi + Ki*Wr)
-
-where * is a real cross-correlation.  Every kernel lifts its inputs with
+convolution with kernel K = Kr + j*Ki applied to W = Wr + j*Wi, that is
+H = (Kr*Wr - Ki*Wi) + j(Kr*Wi + Ki*Wr) with * a real cross-correlation, is
+one real product: the block weight [[Kr, -Ki], [Ki, Kr]] times the im2col
+unfold (`autodiff.unfold`) of the stacked channels [Wr; Wi].  A transposed
+convolution multiplies [Wr; Wi] by its block weight first, then overlap-adds
+the taps (`autodiff.fold`).  Every kernel lifts its inputs with
 `autodiff.lift`: while gradients record they become Vars and the kernel
 returns Vars; under `no_grad` the kernel runs on plain arrays and returns
 arrays, building no graph.  One code path serves inference and training.
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Var, concat, contiguous, dilate, lift, multi_node, pad,
-                       value)
+from .autodiff import (Var, concat, contiguous, fold, lift, multi_node, pad,
+                       unfold, value)
 
 
 @dataclass
@@ -75,74 +76,54 @@ class ConvSpec:
         return (t_in + 2 * self.pad_t - self.kernel_t) // self.stride_t + 1
 
 
-def _corr2d(x, k, spec):
-    """Real cross-correlation: x (C_in, T, F), k (C_out, C_in, kt, kf)."""
-    c_in, t_in, f_in = x.shape
-    t_out = spec.t_out(t_in)
-    f_out = spec.f_out(f_in)
-    if f_out < 1 or t_out < 1:
-        raise ValueError("output extent < 1")
-    xp = pad(x, ((0, 0), (spec.pad_t, spec.pad_t), (spec.pad_f, spec.pad_f)))
-    out = None
-    for dt in range(spec.kernel_t):
-        for df in range(spec.kernel_f):
-            xs = xp[:,
-                    dt:dt + spec.stride_t * t_out:spec.stride_t,
-                    df:df + spec.stride_f * f_out:spec.stride_f]
-            kt = contiguous(k[:, :, dt, df])  # (C_out, C_in)
-            contrib = (kt @ xs.reshape(c_in, t_out * f_out)).reshape(
-                spec.out_ch, t_out, f_out)
-            out = contrib if out is None else out + contrib
-    return out
+def _geometry(spec: ConvSpec):
+    """(kernel, stride, padding) over (time, frequency), for unfold and fold."""
+    return ((spec.kernel_t, spec.kernel_f), (spec.stride_t, spec.stride_f),
+            (spec.pad_t, spec.pad_f))
 
 
-def _tcorr2d(x, k, spec):
-    """Transposed counterpart of _corr2d (adjoint w.r.t. the input)."""
-    c_in, t_in, f_in = x.shape
-    t_out = spec.t_out(t_in)
-    f_out = spec.f_out(f_in)
-    if f_out < 1 or t_out < 1:
-        raise ValueError("output extent < 1")
-    full_t = (t_in - 1) * spec.stride_t + spec.kernel_t
-    full_f = (f_in - 1) * spec.stride_f + spec.kernel_f
-    xd = dilate(dilate(x, 1, spec.stride_t), 2, spec.stride_f)
-    out = None
-    for dt in range(spec.kernel_t):
-        for df in range(spec.kernel_f):
-            kt = contiguous(k[:, :, dt, df])  # (C_out, C_in), transposed output rows
-            contrib = (kt @ xd.reshape(c_in, -1)).reshape(
-                spec.out_ch, xd.shape[1], xd.shape[2])
-            contrib = pad(contrib, ((0, 0),
-                                    (dt, full_t - dt - xd.shape[1]),
-                                    (df, full_f - df - xd.shape[2])))
-            out = contrib if out is None else out + contrib
-    # crop the configured padding
-    return out[:, spec.pad_t:full_t - spec.pad_t, spec.pad_f:full_f - spec.pad_f]
-
-
-def _complex(op, w: ComplexPair, k: ComplexPair, spec: ConvSpec) -> ComplexPair:
+def _checked(w: ComplexPair, k: ComplexPair, spec: ConvSpec):
+    """The output's (time, frequency) extent, once w and k fit spec."""
     expect = (spec.out_ch, spec.in_ch, spec.kernel_t, spec.kernel_f)
     if tuple(k.shape) != expect:
         raise ValueError(f"kernel shape {k.shape} != {expect}")
     if w.shape[0] != spec.in_ch:
         raise ValueError("input channel mismatch")
-    re = op(w.re, k.re, spec) - op(w.im, k.im, spec)
-    im = op(w.im, k.re, spec) + op(w.re, k.im, spec)
-    return ComplexPair(re, im)
+    t_out, f_out = spec.t_out(w.shape[1]), spec.f_out(w.shape[2])
+    if f_out < 1 or t_out < 1:
+        raise ValueError("output extent < 1")
+    return t_out, f_out
+
+
+def _block(k: ComplexPair, axes, rows):
+    """The real block weight [[Kr, -Ki], [Ki, Kr]]: k's parts transposed by
+    axes to end in input channels, the output halves stacked on axis rows."""
+    kr, ki = k.re.transpose(axes), k.im.transpose(axes)
+    return concat([concat([kr, -ki], axis=3), concat([ki, kr], axis=3)], axis=rows)
 
 
 def complex_conv2d(w: ComplexPair, k: ComplexPair, spec: ConvSpec) -> ComplexPair:
-    """Complex 2-D cross-correlation over (time, frequency)."""
+    """Complex 2-D cross-correlation over (time, frequency): one product of
+    the block weight (2*C_out, k_t*k_f*2*C_in) with the unfolded [re; im]."""
     if spec.transposed:
         raise ValueError("spec marked transposed; use complex_deconv2d")
-    return _complex(_corr2d, w, k, spec)
+    t_out, f_out = _checked(w, k, spec)
+    cols = unfold(concat([w.re, w.im], axis=0), *_geometry(spec))
+    y = _block(k, (0, 2, 3, 1), 0).reshape(2 * spec.out_ch, -1) @ cols
+    y = y.reshape(2 * spec.out_ch, t_out, f_out)
+    return ComplexPair(y[:spec.out_ch], y[spec.out_ch:])
 
 
 def complex_deconv2d(w: ComplexPair, k: ComplexPair, spec: ConvSpec) -> ComplexPair:
-    """Complex transposed convolution (adjoint of complex_conv2d)."""
+    """Complex transposed convolution (adjoint of complex_conv2d): the block
+    weight (k_t*k_f*2*C_out, 2*C_in) times [re; im], then fold's overlap-add."""
     if not spec.transposed:
         raise ValueError("spec not marked transposed")
-    return _complex(_tcorr2d, w, k, spec)
+    t_out, f_out = _checked(w, k, spec)
+    x = concat([w.re, w.im], axis=0)
+    cols = _block(k, (2, 3, 0, 1), 2).reshape(-1, x.shape[0]) @ x.reshape(x.shape[0], -1)
+    y = fold(cols, *_geometry(spec), (t_out, f_out))
+    return ComplexPair(y[:spec.out_ch], y[spec.out_ch:])
 
 
 @dataclass

@@ -185,6 +185,7 @@ def toy_train(store: WeightStore, cfg: ModelConfig, examples, steps=50,
             raise FloatingPointError(f"training diverged at step {step}")
         grads = backward(total, params)
         adam_step(params_np, grads, state)
+        del total, params, grads   # this step's graph, before the next is built
         rec = {"step": step, "loss": loss_val, "lr": state.lr,
                "wall": time.perf_counter() - t0}
         log.append(rec)

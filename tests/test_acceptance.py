@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dcaec.autodiff import as_var
+from dcaec.cli import _single_threaded
 from dcaec.dsp import (RATE, AudioBuffer, ComplexSpec, StftConfig, check_cola,
                        istft, stft)
 from dcaec.gradcheck import run_gradient_suite
@@ -389,17 +390,11 @@ def test_11_real_time_factor():
     seconds = 10.0
     y = AudioBuffer(0.1 * rng.normal(size=int(seconds * RATE)))
     x = AudioBuffer(0.1 * rng.normal(size=int(seconds * RATE)))
-    try:
-        from threadpoolctl import threadpool_limits
-        limiter = threadpool_limits(limits=1)
-    except ImportError:
-        import contextlib
-        limiter = contextlib.nullcontext()
-    with limiter:
+    with _single_threaded() as pinned:
         t0 = time.perf_counter()
         forward(y, x, store, PAPER)
         wall = time.perf_counter() - t0
     rtf = wall / seconds
     report(11, "real-time factor", rtf < 1.0,
            f"single-threaded paper-mode RTF {rtf:.3f} < 1.0 "
-           f"({wall:.1f} s for {seconds:.0f} s audio)")
+           f"({wall:.1f} s for {seconds:.0f} s audio, threads_pinned {pinned})")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcaec.autodiff import Var, as_var, concat, dilate, dot, log10, no_grad, pad
+from dcaec.autodiff import (Var, as_var, concat, dot, fold, log10, no_grad, pad,
+                             unfold)
 from dcaec.nn import lstm_cell, lstm_group
 from dcaec.training import backward, finite_diff, rel_error
 
@@ -115,9 +116,42 @@ def test_pad_dilate_concat():
 
     def build(p):
         c = concat([p["x"], p["y"]], axis=0)
-        d = dilate(p["x"], 1, 3)
         padded = pad(c, ((1, 2), (0, 1)))
-        return padded.sum() + (c * c).sum() + (d * d).sum()
+        return padded.sum() + (c * c).sum()
+
+    _scalar_check(build, arrays)
+
+
+# (kernel, stride, padding) over (time, frequency), and the unfolded extent
+GEOMETRIES = [((1, 1), (1, 1), (0, 0), (4, 7)), ((1, 5), (1, 2), (0, 0), (3, 9)),
+              ((3, 3), (1, 1), (1, 1), (4, 6)), ((3, 2), (2, 3), (1, 1), (5, 8)),
+              ((2, 3), (1, 2), (0, 1), (3, 7))]
+
+
+@pytest.mark.parametrize("kernel,stride,padding,shape", GEOMETRIES)
+def test_fold_is_adjoint_of_unfold(kernel, stride, padding, shape):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, *shape))
+    with no_grad():
+        u = unfold(x, kernel, stride, padding)
+        y = rng.normal(size=u.shape)
+        assert np.dot(u.ravel(), y.ravel()) == pytest.approx(
+            np.sum(x * fold(y, kernel, stride, padding, shape)), rel=1e-12)
+
+
+@pytest.mark.parametrize("kernel,stride,padding,shape", GEOMETRIES)
+def test_unfold_fold_gradients(kernel, stride, padding, shape):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, *shape))
+    with no_grad():
+        cols_shape = unfold(x, kernel, stride, padding).shape
+    arrays = {"x": x, "y": rng.normal(size=cols_shape)}
+    ru, rf = rng.normal(size=cols_shape), rng.normal(size=x.shape)
+
+    def build(p):
+        u = unfold(p["x"] * p["x"], kernel, stride, padding)
+        f = fold(p["y"] * p["y"], kernel, stride, padding, shape)
+        return (u * ru).sum() + (f * rf).sum()
 
     _scalar_check(build, arrays)
 

@@ -170,6 +170,25 @@ def test_deconv_is_adjoint_of_conv():
         assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("kt,stride,pad", [(1, 1, 0), (1, 2, 1), (3, 1, 1), (3, 2, 0)])
+def test_conv_arrays_and_vars_agree_bitwise(kt, stride, pad, transposed, dtype):
+    rng = np.random.default_rng(6)
+    spec = ConvSpec(in_ch=3, out_ch=2, kernel_f=3, kernel_t=kt, stride_f=stride,
+                    stride_t=stride, pad_f=pad, pad_t=pad, transposed=transposed)
+    w = rng.normal(size=(2, 3, 5, 9)).astype(dtype)
+    k = rng.normal(size=(2, 2, 3, kt, 3)).astype(dtype)
+    op = complex_deconv2d if transposed else complex_conv2d
+    graph = op(ComplexPair(*w), ComplexPair(*k), spec)
+    with no_grad():
+        arrays = op(ComplexPair(*w), ComplexPair(*k), spec)
+    assert isinstance(arrays.re, np.ndarray) and arrays.re.dtype == dtype
+    assert graph.re.dtype == dtype
+    np.testing.assert_array_equal(arrays.re, graph.re.data)
+    np.testing.assert_array_equal(arrays.im, graph.im.data)
+
+
 def test_kernel_shape_validated():
     spec = ConvSpec(in_ch=2, out_ch=3, kernel_f=3)
     w = ComplexPair(np.zeros((2, 2, 8)), np.zeros((2, 2, 8)))

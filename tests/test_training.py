@@ -1,5 +1,7 @@
 """Objective graphs, Adam and the toy training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,24 @@ def test_toy_train_reduces_loss():
     _, log = toy_train(store, cfg, exs, steps=8, lr=1e-3,
                        plan=ChunkPlan(chunk_counts=(1,)))
     assert log[-1]["loss"] < log[0]["loss"]
+
+
+def test_toy_train_holds_one_graph_at_a_time():
+    exs = _examples(n=1, seconds=0.1)
+    cfg = ModelConfig.desk_mode()
+    store = init_weights(cfg, seed=0)
+    plan = ChunkPlan(chunk_counts=(1,))
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            toy_train(store, cfg, exs, steps=steps, plan=plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, two = peak(1), peak(2)
+    assert two <= 1.1 * one, (one, two)
 
 
 def test_backward_rejects_non_scalar():
