@@ -7,7 +7,7 @@ Modules:
     model      network assembly, weights, offline and streaming inference
     metrics    SI-SNR family, ERLE and mixture ratios
     scene      image-method room simulation and scene synthesis
-    training   differentiable objective, Adam, toy training loop
+    training   objective (the metrics' seg_sisnr on Vars), Adam, toy training
     gradcheck  finite-difference validation of every kernel
     weights_io binary weight-file reader/writer
     wavio      mono 16 kHz PCM16 WAV I/O

@@ -8,12 +8,12 @@ treated as constants and receive no gradient.
 Vars exist only where gradients are recorded.  Kernels pass their inputs
 through ``lift``: while recording it makes them Vars, under ``no_grad()`` it
 unwraps Vars to their arrays.  The free functions below (``pad``,
-``contiguous``, ``concat``, ``unfold``, ``fold``) are the only definitions
-of their ops: each builds graph nodes when an operand is a Var and otherwise
-does plain numpy, so the same kernel code runs on Vars for training and
-arrays in, arrays out for inference.  An op that computes its own gradients,
-such as ``nn.lstm_group``'s recurrence loop, runs on arrays either way and,
-while recording, becomes one node through ``multi_node``.
+``contiguous``, ``concat``, ``unfold``, ``fold``, ``dot``, ``log10``) are the
+only definitions of their ops: each builds graph nodes when an operand is a
+Var and otherwise does plain numpy, so the same kernel code runs on Vars for
+training and arrays in, arrays out for inference.  An op that computes its
+own gradients, such as ``nn.lstm_group``'s recurrence loop, runs on arrays
+either way and, while recording, becomes one node through ``multi_node``.
 
 Var sets ``__array_ufunc__ = None``, so an ndarray on the left of ``+``,
 ``-``, ``*``, ``/`` or ``@`` defers to the Var's reflected operator.
@@ -445,8 +445,21 @@ def multi_node(outs, inputs, backward):
 
 
 def log10(x):
-    return x.log() * (1.0 / np.log(10.0))
+    """np.log10 of x, a Var or an array."""
+    a = value(x)
+    return _unary(x, np.log10(a), lambda g: g / (a * np.log(10.0)))
 
 
 def dot(a, b):
-    return (a * b).sum()
+    """np.dot of two vectors, either of them a Var."""
+    ad, bd = value(a), value(b)
+    out = np.dot(ad, bd)
+    if not isinstance(a, Var) and not isinstance(b, Var):
+        return out
+
+    def bwd(g):
+        for x, other in ((a, bd), (b, ad)):
+            if isinstance(x, Var):
+                x._accum(g * other, own=True)
+
+    return Var._make(out, (a, b), bwd)

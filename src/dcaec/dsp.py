@@ -5,11 +5,19 @@ All processing runs at 16 kHz with a 320-sample (20 ms) window, 160-sample
 analysis and synthesis windows are both square-root periodic Hann, which is
 constant-overlap-add exact at 50% overlap, so istft(stft(x)) reconstructs the
 interior of x exactly.
+
+``synthesis`` (inverse DFT, window, overlap-add) is the one synthesis for
+offline ``istft``, the streaming session's frames and the training
+objective: it takes arrays or autodiff Vars, so the loss is differentiated
+through the same code that produces the output signal.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+
+from .autodiff import pad
 
 RATE = 16000
 
@@ -115,9 +123,6 @@ class ComplexSpec:
     def n_frames(self):
         return self.re.shape[0]
 
-    def to_complex(self):
-        return self.re + 1j * self.im
-
 
 def frame_signal(x, cfg):
     """Cut x into windowed frames (T, win_len); tail zero-padded."""
@@ -139,18 +144,30 @@ def stft(x: AudioBuffer, cfg: StftConfig) -> ComplexSpec:
     return ComplexSpec(spec.real, spec.imag, cfg)
 
 
+def synthesis(re, im, cfg: StftConfig):
+    """Overlap-add synthesis of a (T >= 1, F) spectrum, arrays or Vars.
+
+    Returns the (T-1)*hop + win_len samples of the windowed inverse DFTs.
+    """
+    ci, si = idft_matrices(cfg.fft_size)
+    frames = re @ ci + im @ si          # (T, fft_size)
+    frames = frames[:, :cfg.win_len] * cfg.window
+    t = frames.shape[0]
+    n_out = (t - 1) * cfg.hop + cfg.win_len
+    # frames k, k + r, k + 2r, ... (r = win_len / hop) do not overlap, so
+    # overlap-add is a sum of r shifted runs of frames
+    r = cfg.win_len // cfg.hop
+    runs = [frames[k::r].reshape(-1) for k in range(min(r, t))]
+    runs = [pad(run, ((k * cfg.hop, n_out - k * cfg.hop - run.shape[0]),))
+            for k, run in enumerate(runs)]
+    return sum(runs[1:], runs[0])
+
+
 def istft(s: ComplexSpec) -> AudioBuffer:
     """Overlap-add synthesis; output length (T-1)*hop + win_len."""
-    cfg = s.cfg
-    t = s.n_frames
-    if t == 0:
-        return AudioBuffer(np.zeros(0), cfg.sample_rate)
-    frames = np.fft.irfft(s.to_complex(), n=cfg.fft_size, axis=1)[:, :cfg.win_len]
-    frames *= cfg.window
-    out = np.zeros((t - 1) * cfg.hop + cfg.win_len)
-    for i in range(t):
-        out[i * cfg.hop:i * cfg.hop + cfg.win_len] += frames[i]
-    return AudioBuffer(out, cfg.sample_rate)
+    if s.n_frames == 0:
+        return AudioBuffer(np.zeros(0), s.cfg.sample_rate)
+    return AudioBuffer(synthesis(s.re, s.im, s.cfg), s.cfg.sample_rate)
 
 
 def apply_delay(x: AudioBuffer, delay: int) -> AudioBuffer:
@@ -172,15 +189,20 @@ def dft_matrices(fft_size):
     return np.cos(ang), -np.sin(ang)
 
 
+@lru_cache(maxsize=None)
 def idft_matrices(fft_size):
     """Inverse one-sided DFT matrices Ci, Si of shape (n_bins, fft_size).
 
     frames = re @ Ci + im @ Si, matching np.fft.irfft (imaginary parts of the
-    DC and Nyquist bins are multiplied by zero rows).
+    DC and Nyquist bins are multiplied by zero rows).  Cached, so every caller
+    shares one read-only pair per size.
     """
     cos_m, sin_m = dft_matrices(fft_size)
     w = np.full(fft_size // 2 + 1, 2.0)
     w[0] = 1.0
     if fft_size % 2 == 0:
         w[-1] = 1.0
-    return (w[:, None] * cos_m) / fft_size, (w[:, None] * sin_m) / fft_size
+    out = (w[:, None] * cos_m) / fft_size, (w[:, None] * sin_m) / fft_size
+    for m in out:
+        m.flags.writeable = False
+    return out

@@ -11,13 +11,12 @@ import numpy as np
 
 from .autodiff import as_var
 from .dsp import AudioBuffer, StftConfig
-from .metrics import ChunkPlan
+from .metrics import ChunkPlan, seg_sisnr, si_snr
 from .model import ModelConfig, init_weights
 from .nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
                  LstmSpec, complex_conv2d, complex_deconv2d, complex_lstm,
                  deep_filter_apply, ft_lstm_block, lstm_seq, prelu)
-from .training import (backward, example_loss, finite_diff, rel_error,
-                       seg_sisnr_var, si_snr_var)
+from .training import backward, example_loss, finite_diff, rel_error
 
 
 def _project(pair, r1, r2):
@@ -176,7 +175,7 @@ def check_si_snr(rng):
     arrays = {"sh": s + 0.3 * rng.normal(size=n)}
 
     def loss(p):
-        return si_snr_var(p["sh"], s) * (-1.0)
+        return si_snr(p["sh"], s) * (-1.0)
 
     return _check(loss, arrays)
 
@@ -188,7 +187,7 @@ def check_seg_sisnr(rng):
     plan = ChunkPlan((1, 4, 8))
 
     def loss(p):
-        return seg_sisnr_var(p["sh"], s, plan) * (-1.0)
+        return seg_sisnr(p["sh"], s, plan) * (-1.0)
 
     return _check(loss, arrays)
 

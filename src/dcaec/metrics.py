@@ -1,9 +1,15 @@
-"""SI-SNR, segmented SI-SNR, ERLE and energy-ratio measurements."""
+"""SI-SNR, segmented SI-SNR, ERLE and energy-ratio measurements.
+
+``si_snr`` and ``seg_sisnr`` also take an autodiff Var estimate: the
+training objective is the negative ``seg_sisnr`` of the network output, so
+the loss is the reported metric, computed by the same code.
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import Var, dot, log10, value
 from .dsp import AudioBuffer
 
 EPS = 1e-12
@@ -30,11 +36,13 @@ class ChunkPlan:
 
 
 def _as_samples(a):
-    return a.samples if isinstance(a, AudioBuffer) else np.asarray(a, dtype=np.float64)
+    if isinstance(a, AudioBuffer):
+        return a.samples
+    return a if isinstance(a, Var) else np.asarray(a, dtype=np.float64)
 
 
 def si_snr(s_hat, s, mode="standard"):
-    """Scale-invariant SNR in dB.
+    """Scale-invariant SNR in dB; a Var estimate gives a Var.
 
     mode "standard": e = s_hat - s_target (the usual projection residual).
     mode "literal": e = s_hat - s.
@@ -46,19 +54,19 @@ def si_snr(s_hat, s, mode="standard"):
     s_energy = np.dot(s, s)
     if s_energy <= 0:
         raise ValueError("zero-energy reference")
-    s_target = (np.dot(s_hat, s) / s_energy) * s
+    s_target = (dot(s_hat, s) / s_energy) * s
     if mode == "standard":
         e = s_hat - s_target
     elif mode == "literal":
         e = s_hat - s
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return 10.0 * np.log10(np.dot(s_target, s_target) / (np.dot(e, e) + EPS) + EPS)
+    return 10.0 * log10(dot(s_target, s_target) / (dot(e, e) + EPS) + EPS)
 
 
 def _chunks(x, c):
     """Split into c contiguous chunks, remainder folded into the last."""
-    n = len(x)
+    n = x.shape[0]
     size = n // c
     bounds = [i * size for i in range(c)] + [n]
     return [x[bounds[i]:bounds[i + 1]] for i in range(c)]
@@ -67,6 +75,7 @@ def _chunks(x, c):
 def seg_sisnr(s_hat, s, plan: ChunkPlan = None, mode="standard", per_c=None):
     """Sum over chunk counts of the per-count mean chunk SI-SNR.
 
+    A count whose chunks all fall below the reference-energy floor adds 0.
     per_c: optional dict receiving the per-count values for diagnostics.
     """
     if plan is None:
@@ -88,11 +97,11 @@ def seg_sisnr(s_hat, s, plan: ChunkPlan = None, mode="standard", per_c=None):
             vals.append(si_snr(ch_hat, ch_ref, mode=mode))
         if vals:
             any_chunk = True
-            v = float(np.mean(vals))
+            v = sum(vals[1:], vals[0]) / len(vals)
         else:
             v = 0.0
         if per_c is not None:
-            per_c[c] = v
+            per_c[c] = float(value(v))
         total += v
     if not any_chunk:
         raise ValueError("all chunks below the reference-energy threshold")

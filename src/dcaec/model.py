@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .autodiff import as_var, no_grad, pad, value
-from .dsp import AudioBuffer, ComplexSpec, StftConfig, istft, stft
+from .dsp import AudioBuffer, ComplexSpec, StftConfig, istft, stft, synthesis
 from .nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
                  LstmSpec, activation, complex_conv2d, complex_deconv2d,
                  complex_lstm, deep_filter_apply, ft_lstm_block)
@@ -616,7 +616,7 @@ class StreamingSession:
         self.frames += 1
         self.mask_clamped_bins += clamped
         s = self.rings[0][1] * (m_re + 1j * m_im)
-        self.ola += np.fft.irfft(s, n=self.cfg.stft.fft_size)[:self.win] * self.cfg.stft.window
+        self.ola += synthesis(s.real[None], s.imag[None], self.cfg.stft)
         if last:
             chunk, self.ola = self.ola, np.zeros(self.win)
         else:

@@ -311,21 +311,6 @@ def lstm_seq(x, spec: LstmSpec, state=None):
     return ys[0], states[0]
 
 
-def lstm_forward(x, spec: LstmSpec, state=None):
-    """LSTM over a single sequence x (S, input_dim); returns (y, state')."""
-    xv = lift(x)
-    s, i = xv.shape
-    if i != spec.input_dim:
-        raise ValueError(f"input dim {i} != {spec.input_dim}")
-    if state is not None:
-        state = (lift(state[0]).reshape(1, -1), lift(state[1]).reshape(1, -1))
-    y, st = lstm_seq(xv.reshape(s, 1, i), spec, state)
-    y = y.reshape(s, spec.out_dim)
-    if st is not None:
-        st = (st[0].reshape(spec.hidden_dim), st[1].reshape(spec.hidden_dim))
-    return y, st
-
-
 def linear(x, w, b):
     """x (..., I) @ w.T + b with w (O, I)."""
     x, w = lift(x), lift(w)

@@ -1,9 +1,10 @@
 """Training machinery: differentiable objective, Adam, gradient checking.
 
 The objective is the negative segmented SI-SNR (standard projection form,
-chunk counts summed) computed on the time-domain network output, so the
-synthesis path (mask multiply, inverse DFT, overlap-add) is part of the
-differentiated graph.
+chunk counts summed) of the time-domain network output: ``metrics.seg_sisnr``
+itself, run on a Var estimate, so the training loss is the reported metric.
+The synthesis (mask multiply, then ``dsp.synthesis``: inverse DFT, window
+and overlap-add) is part of the differentiated graph.
 """
 
 import time
@@ -11,72 +12,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Var, as_var, log10, pad
-from .dsp import idft_matrices, stft
-from .metrics import EPS, ChunkPlan
+from .autodiff import Var, as_var
+from .dsp import stft
+# the name perfbench/tracing.py wraps for the objective's synthesis
+from .dsp import synthesis as istft_graph
+from .metrics import ChunkPlan, seg_sisnr
 from .model import ModelConfig, WeightStore, batch_mask_graph
 # no caller since the network moved into model's stages; perfbench/tracing.py patches them
 from .nn import (activation, complex_conv2d, complex_deconv2d,  # noqa: F401
                  complex_linear, deep_filter_apply, lstm_seq)
 from .nn import ft_lstm_block as _batched_ft_part  # noqa: F401
 
-# ---- differentiable synthesis and objective ------------------------------
-
-
-def istft_graph(s_re, s_im, cfg):
-    """Differentiable overlap-add synthesis of a (T, F) Var spectrum."""
-    ci, si = idft_matrices(cfg.fft_size)
-    frames = s_re @ ci + s_im @ si          # (T, fft_size)
-    frames = frames[:, :cfg.win_len] * cfg.window
-    t = frames.shape[0]
-    n_out = (t - 1) * cfg.hop + cfg.win_len
-    # frames k, k + r, k + 2r, ... (r = win_len / hop) do not overlap, so
-    # overlap-add is a sum of r shifted runs of frames
-    r = cfg.win_len // cfg.hop
-    runs = [frames[k::r].reshape(-1) for k in range(min(r, t))]
-    runs = [pad(run, ((k * cfg.hop, n_out - k * cfg.hop - run.shape[0]),))
-            for k, run in enumerate(runs)]
-    return sum(runs[1:], runs[0])
-
-
-def si_snr_var(s_hat: Var, s: np.ndarray):
-    """Differentiable SI-SNR of a Var estimate against a constant reference."""
-    s = np.asarray(s, dtype=np.float64)
-    e_s = float(np.dot(s, s))
-    if e_s <= 0:
-        raise ValueError("zero-energy reference")
-    proj = (s_hat * s).sum() * (1.0 / e_s)
-    target = proj * s
-    err = s_hat - target
-    num = (target * target).sum() + EPS
-    den = (err * err).sum() + EPS
-    return log10(num / den) * 10.0
-
-
-def seg_sisnr_var(s_hat: Var, s: np.ndarray, plan: ChunkPlan = None):
-    """Differentiable segmented SI-SNR (sum over chunk counts)."""
-    if plan is None:
-        plan = ChunkPlan()
-    s = np.asarray(s, dtype=np.float64)
-    n = len(s)
-    floor = 10.0 ** (plan.min_ref_energy_db / 10.0)
-    total = None
-    for c in plan.chunk_counts:
-        size = n // c
-        bounds = [i * size for i in range(c)] + [n]
-        vals = []
-        for i in range(c):
-            lo, hi = bounds[i], bounds[i + 1]
-            if np.mean(s[lo:hi] ** 2) < floor:
-                continue
-            vals.append(si_snr_var(s_hat[lo:hi], s[lo:hi]))
-        if not vals:
-            continue
-        acc = sum(vals[1:], vals[0]) * (1.0 / len(vals))
-        total = acc if total is None else total + acc
-    if total is None:
-        raise ValueError("all chunks below the reference-energy threshold")
-    return total
+# ---- objective -----------------------------------------------------------
 
 
 def batched_loss(examples, params, cfg: ModelConfig, plan: ChunkPlan = None):
@@ -98,7 +45,7 @@ def batched_loss(examples, params, cfg: ModelConfig, plan: ChunkPlan = None):
         s_hat = istft_graph(s_re, s_im, cfg.stft)
         n = s_hat.shape[0]
         ref = np.pad(ex.s.samples, (0, max(0, n - len(ex.s))))[:n]
-        l = seg_sisnr_var(s_hat, ref, plan) * (-1.0)
+        l = seg_sisnr(s_hat, ref, plan) * (-1.0)
         total = l if total is None else total + l
     return total * (1.0 / b)
 

@@ -20,15 +20,15 @@ from dcaec.model import (ModelConfig, StreamingSession, apply_mask,
                          init_weights, params_as_vars)
 from dcaec.nn import (ComplexLstmParams, ComplexPair, ConvSpec, LstmSpec,
                       complex_conv2d, complex_deconv2d, complex_linear,
-                      complex_lstm, deep_filter_apply, ft_lstm_block,
-                      lstm_forward)
+                      complex_lstm, deep_filter_apply, ft_lstm_block)
 from dcaec.scene import (RoomSpec, SceneRanges, generate_rir,
                          make_training_examples, sample_recipe,
                          schroeder_rt60, synthesize, synthetic_corpus)
 from dcaec.training import toy_train
 
 from test_nn import (FtLstmParams, complex_conv_oracle, conv2d_loops,
-                     deep_filter_loops, lstm_loops, rand_lstm_spec)
+                     deep_filter_loops, lstm_forward, lstm_loops,
+                     rand_lstm_spec)
 
 PAPER = ModelConfig.paper_mode()
 DESK = ModelConfig.desk_mode()

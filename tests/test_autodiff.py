@@ -175,6 +175,11 @@ def test_log10_and_dot():
         return log10(dot(p["x"], p["x"])) + dot(p["x"], y)
 
     _scalar_check(build, arrays)
+    # one op each, np.log10 / np.dot on either path
+    x = arrays["x"]
+    np.testing.assert_array_equal(log10(x), np.log10(x))
+    np.testing.assert_array_equal(log10(as_var(x)).data, np.log10(x))
+    assert dot(x, y) == np.dot(x, y) == dot(as_var(x), y).data == dot(y, as_var(x)).data
 
 
 def test_lstm_cell_matches_unfused_math():

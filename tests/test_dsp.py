@@ -5,7 +5,8 @@ import pytest
 
 from dcaec.dsp import (RATE, AudioBuffer, ComplexSpec, SampleRateError,
                        StftConfig, apply_delay, check_cola, dft_matrices,
-                       frame_signal, idft_matrices, istft, sqrt_hann, stft)
+                       frame_signal, idft_matrices, istft, sqrt_hann, stft,
+                       synthesis)
 
 CFG = StftConfig()
 
@@ -159,3 +160,17 @@ def test_idft_matrices_match_irfft():
     rec = spec.real @ ci + spec.imag @ si
     np.testing.assert_allclose(rec, np.fft.irfft(spec, n=CFG.fft_size, axis=1),
                                atol=1e-9)
+    # cached: one shared pair per size, which no caller can write to
+    assert idft_matrices(CFG.fft_size) == (ci, si)
+    assert not ci.flags.writeable and not si.flags.writeable
+
+
+def test_synthesis_of_one_frame_is_istft():
+    """A streaming hop's synthesis (T = 1): the windowed inverse DFT."""
+    rng = np.random.default_rng(8)
+    spec = ComplexSpec(rng.normal(size=(1, CFG.n_bins)),
+                       rng.normal(size=(1, CFG.n_bins)), CFG)
+    out = synthesis(spec.re, spec.im, CFG)
+    np.testing.assert_array_equal(out, istft(spec).samples)
+    ref = np.fft.irfft(spec.re[0] + 1j * spec.im[0], n=CFG.fft_size)
+    np.testing.assert_allclose(out, ref[:CFG.win_len] * CFG.window, atol=1e-12)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from dcaec.autodiff import as_var, no_grad
+from dcaec.autodiff import as_var, lift, no_grad
 from dcaec.nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
                       LstmSpec, complex_conv2d, complex_deconv2d,
                       complex_linear, complex_lstm, deep_filter_apply,
-                      ft_lstm_block, linear, lstm_forward, lstm_seq, prelu)
+                      ft_lstm_block, linear, lstm_seq, prelu)
 
 
 # ---- oracles -------------------------------------------------------------
@@ -68,6 +68,21 @@ def rand_lstm_spec(rng, i, hd, bidirectional=False):
     w = {n: 0.4 * rng.normal(size=shapes[n[:-4] if n.endswith("_rev") else n])
          for n in names}
     return LstmSpec(i, hd, bidirectional, w)
+
+
+def lstm_forward(x, spec: LstmSpec, state=None):
+    """LSTM over a single sequence x (S, input_dim); returns (y, state')."""
+    xv = lift(x)
+    s, i = xv.shape
+    if i != spec.input_dim:
+        raise ValueError(f"input dim {i} != {spec.input_dim}")
+    if state is not None:
+        state = (lift(state[0]).reshape(1, -1), lift(state[1]).reshape(1, -1))
+    y, st = lstm_seq(xv.reshape(s, 1, i), spec, state)
+    y = y.reshape(s, spec.out_dim)
+    if st is not None:
+        st = (st[0].reshape(spec.hidden_dim), st[1].reshape(spec.hidden_dim))
+    return y, st
 
 
 # ---- complex conv --------------------------------------------------------

@@ -5,15 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dcaec.autodiff import as_var
-from dcaec.dsp import RATE, AudioBuffer, StftConfig, istft, stft
-from dcaec.metrics import ChunkPlan, si_snr
+from dcaec import training
+from dcaec.autodiff import as_var, value
+from dcaec.dsp import RATE, AudioBuffer, StftConfig, istft, stft, synthesis
+from dcaec.metrics import ChunkPlan, seg_sisnr, si_snr
 from dcaec.model import ModelConfig, init_weights
 from dcaec.scene import make_training_examples, synthetic_corpus
 from dcaec.training import (AdamState, adam_step,
                             backward, batched_loss, example_loss, finite_diff,
-                            istft_graph, rel_error, seg_sisnr_var, si_snr_var,
-                            toy_train)
+                            rel_error, toy_train)
 
 
 def _examples(n=2, seconds=0.25, seed=0):
@@ -24,30 +24,42 @@ def _examples(n=2, seconds=0.25, seed=0):
 
 
 def test_istft_graph_matches_offline_istft():
+    """The objective's synthesis is offline istft's, on Vars."""
+    assert training.istft_graph is synthesis
     rng = np.random.default_rng(0)
     cfg = StftConfig()
     spec = stft(AudioBuffer(rng.normal(size=RATE // 2)), cfg)
-    out = istft_graph(as_var(spec.re), as_var(spec.im), cfg)
-    ref = istft(spec).samples
-    np.testing.assert_allclose(out.data, ref, atol=1e-10)
+    out = synthesis(as_var(spec.re), as_var(spec.im), cfg)
+    np.testing.assert_array_equal(out.data, istft(spec).samples)
 
 
 def test_si_snr_var_matches_metric():
     rng = np.random.default_rng(1)
     s = rng.normal(size=4000)
     est = s + 0.1 * rng.normal(size=4000)
-    assert float(si_snr_var(as_var(est), s).data) == pytest.approx(
-        si_snr(est, s), abs=1e-9)
+    for mode in ("standard", "literal"):
+        assert value(si_snr(as_var(est), s, mode)) == si_snr(est, s, mode)
 
 
 def test_seg_sisnr_var_matches_metric():
-    from dcaec.metrics import seg_sisnr
     rng = np.random.default_rng(2)
     s = rng.normal(size=4000)
     est = s + 0.3 * rng.normal(size=4000)
+    plan = ChunkPlan(chunk_counts=(1, 4, 10))
+    for mode in ("standard", "literal"):
+        assert value(seg_sisnr(as_var(est), s, plan, mode)) == seg_sisnr(
+            est, s, plan, mode)
+
+
+def test_zero_estimate_loss_is_the_metric():
+    """An all-zero estimate scores -120 dB per chunk count as a Var too."""
+    s = np.random.default_rng(4).normal(size=4000)
+    zero = np.zeros_like(s)
     plan = ChunkPlan(chunk_counts=(1, 4))
-    assert float(seg_sisnr_var(as_var(est), s, plan).data) == pytest.approx(
-        seg_sisnr(est, s, plan), abs=1e-9)
+    assert si_snr(zero, s) == pytest.approx(-120.0)
+    assert value(si_snr(as_var(zero), s)) == si_snr(zero, s)
+    assert seg_sisnr(zero, s, plan) == pytest.approx(-240.0)
+    assert value(seg_sisnr(as_var(zero), s, plan)) == seg_sisnr(zero, s, plan)
 
 
 def test_loss_gradient_via_finite_differences():
@@ -56,7 +68,7 @@ def test_loss_gradient_via_finite_differences():
     arrays = {"est": s + 0.2 * rng.normal(size=800)}
 
     def build(p):
-        return si_snr_var(p["est"], s) * -1.0
+        return si_snr(p["est"], s) * -1.0
 
     params = {k: as_var(v) for k, v in arrays.items()}
     grads = backward(build(params), params)
