@@ -168,17 +168,6 @@ class Var:
 
         return Var._make(out_data, (a,), bwd)
 
-    def __pow__(self, p):
-        if not np.isscalar(p):
-            raise TypeError("only scalar exponents supported")
-        a = self
-        out_data = a.data ** p
-
-        def bwd(g):
-            a._accum(g * p * a.data ** (p - 1), own=True)
-
-        return Var._make(out_data, (a,), bwd)
-
     def __matmul__(self, other):
         a, b = self, other
         bd = b.data if isinstance(b, Var) else np.asarray(b)
@@ -203,32 +192,6 @@ class Var:
         return Var._make(out_data, (a,), bwd)
 
     # ---- elementwise functions ------------------------------------------
-
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def bwd(g):
-            a._accum(g * out_data, own=True)
-
-        return Var._make(out_data, (a,), bwd)
-
-    def log(self):
-        a = self
-
-        def bwd(g):
-            a._accum(g / a.data, own=True)
-
-        return Var._make(np.log(a.data), (a,), bwd)
-
-    def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def bwd(g):
-            a._accum(g * 0.5 / out_data, own=True)
-
-        return Var._make(out_data, (a,), bwd)
 
     def tanh(self):
         a = self
@@ -285,10 +248,6 @@ class Var:
             a._accum(np.broadcast_to(gg, a.data.shape))
 
         return Var._make(out_data, (a,), bwd)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / n
 
     # ---- backward --------------------------------------------------------
 

@@ -125,13 +125,13 @@ class ComplexSpec:
 
 
 def frame_signal(x, cfg):
-    """Cut x into windowed frames (T, win_len); tail zero-padded."""
-    t = cfg.n_frames(len(x))
-    frames = np.zeros((t, cfg.win_len))
-    for i in range(t):
-        seg = x[i * cfg.hop:i * cfg.hop + cfg.win_len]
-        frames[i, :len(seg)] = seg
-    return frames * cfg.window
+    """Cut x (..., n) into windowed frames (..., T, win_len); tail zero-padded."""
+    t = cfg.n_frames(x.shape[-1])
+    n = max(t - 1, 0) * cfg.hop + cfg.win_len
+    if n > x.shape[-1]:
+        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])])
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.win_len, axis=-1)
+    return frames[..., :t * cfg.hop:cfg.hop, :] * cfg.window
 
 
 def stft(x: AudioBuffer, cfg: StftConfig) -> ComplexSpec:

@@ -6,6 +6,8 @@ a complex deconv decoder, the deep filter and two complex LSTM layers, and
 produces a complex mask that multiplies the microphone spectrum.  The
 network is wired once, as two stages over blocks of frames (see
 `encode_stage` and `mask_stage`), for offline, streaming and training use.
+Inference runs one way: offline `forward` is a `StreamingSession` fed the
+whole signal as one block.
 """
 
 import hashlib
@@ -17,7 +19,10 @@ import numpy as np
 
 from . import nn
 from .autodiff import as_var, no_grad, pad, value
-from .dsp import AudioBuffer, ComplexSpec, StftConfig, istft, stft, synthesis
+from .dsp import (AudioBuffer, ComplexSpec, SampleRateError, StftConfig, frame_signal,
+                  istft)
+# no caller since forward became a StreamingSession run; perfbench/tracing.py patches it
+from .dsp import stft  # noqa: F401
 from .nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
                  LstmSpec, activation, complex_conv2d, complex_deconv2d,
                  complex_lstm, deep_filter_apply, ft_lstm_block)
@@ -315,10 +320,11 @@ def _leaves(states):
 # The convolutions are frame-local, the T-LSTM and the cLSTM carry state and
 # the deep filter looks one frame ahead, so the network is two stages over a
 # block of T >= 1 frames of B sequences, with explicit carried state.
-# `forward` runs them once over all frames, `StreamingSession` once per frame
-# and training once over a batch.  The frames of the B sequences share one
-# axis, sequence by sequence: (C, B*T, F).  Kernels are called through this
-# module's names so that profilers can patch them here.
+# `StreamingSession` runs them once per block (each hop's frame, or all the
+# frames of an offline `forward`) and training once over a batch.  The
+# frames of the B sequences share one axis, sequence by sequence:
+# (C, B*T, F).  Kernels are called through this module's names so that
+# profilers can patch them here.
 
 
 def _no_note(name, pair):
@@ -403,10 +409,10 @@ def _framed(x: ComplexPair, b):
                          .reshape(c, -1, f) for v in (x.re, x.im)))
 
 
-def batch_mask_graph(y_specs, x_specs, params, cfg: ModelConfig, note=_no_note,
-                     dtype=np.float64):
+def batch_mask_graph(y_specs, x_specs, params, cfg: ModelConfig, note=_no_note):
     """Masks of B equal-length sequences in one graph: (T, F) for one, else
-    (T, B, F).  Every stage runs once over all frames of all sequences."""
+    (T, B, F).  Every stage runs once over all frames of all sequences, in
+    the spectra's dtype."""
     b, t = len(y_specs), y_specs[0].n_frames
     if any(sp.n_frames != t for sp in (*y_specs, *x_specs)):
         raise ValueError("sequences must have equal length")
@@ -414,29 +420,13 @@ def batch_mask_graph(y_specs, x_specs, params, cfg: ModelConfig, note=_no_note,
     def frames(specs, part):  # (B*T, F)
         return np.concatenate([getattr(sp, part) for sp in specs])
 
-    w = ComplexPair(np.stack([frames(y_specs, "re"), frames(x_specs, "re")]).astype(dtype),
-                    np.stack([frames(y_specs, "im"), frames(x_specs, "im")]).astype(dtype))
+    w = ComplexPair(np.stack([frames(y_specs, "re"), frames(x_specs, "re")]),
+                    np.stack([frames(y_specs, "im"), frames(x_specs, "im")]))
     note("input", w)
     dec, _ = encode_stage(w, b, params, cfg, note=note)
     mic = ComplexPair(w.re[:1], w.im[:1])
     m, _ = mask_stage(_framed(dec, b), _framed(mic, b), b, params, cfg, note=note)
     return m
-
-
-def build_mask_graph(y_spec: ComplexSpec, x_spec: ComplexSpec, params, cfg: ModelConfig,
-                     collect=None, dtype=np.float64):
-    """Run the network on stacked (Y, X) spectra; returns mask ComplexPair (T, F).
-
-    params: flat name -> Var/ndarray map (expected to match dtype).  collect:
-    optional dict that receives every intermediate activation shape, keyed by
-    layer name.  Raises NumericError on the first non-finite layer.
-    """
-    def note(name, pair):
-        if collect is not None:
-            collect[name] = tuple(pair.shape)
-        _check_layer(name, pair)
-
-    return batch_mask_graph([y_spec], [x_spec], params, cfg, note, dtype)
 
 
 def params_as_vars(store: WeightStore, dtype=np.float64):
@@ -490,35 +480,26 @@ def _clamp_mask(re, im):
     return re, im, n
 
 
-def _pad_to_match(y: AudioBuffer, x: AudioBuffer):
-    n = max(len(y), len(x))
-    ys = np.pad(y.samples, (0, n - len(y)))
-    xs = np.pad(x.samples, (0, n - len(x)))
-    return AudioBuffer(ys, y.sample_rate), AudioBuffer(xs, x.sample_rate)
-
-
 def forward(y: AudioBuffer, x: AudioBuffer, store: WeightStore, cfg: ModelConfig,
-            collect=None, report=None):
+            report=None):
     """Offline inference: (mic, farend) -> (mask, estimated near-end signal).
 
-    report: optional dict that receives mask_clamped_bins, the number of mask
-    bins whose magnitude was limited to MASK_CLAMP.
+    A StreamingSession fed the whole signal at once and finished, so offline
+    and streaming output come from the same code.  report: optional dict that
+    receives mask_clamped_bins, the number of mask bins whose magnitude was
+    limited to MASK_CLAMP.
     """
-    validate_store(store, cfg)
-    y, x = _pad_to_match(y, x)
-    y_spec = stft(y, cfg.stft)
-    x_spec = stft(x, cfg.stft)
-    # single precision through the network: ~4x faster on typical CPUs and
-    # well inside the mask's accuracy needs; synthesis stays double
-    with no_grad():
-        m = build_mask_graph(y_spec, x_spec, inference_params(store), cfg,
-                             collect=collect, dtype=np.float32)
-    m_re, m_im, clamped = _clamp_mask(m.re, m.im)
+    sess = StreamingSession(store, cfg)
+    for buf in (y, x):
+        if buf.sample_rate != cfg.stft.sample_rate:
+            raise SampleRateError(
+                f"sample rate {buf.sample_rate} != configured {cfg.stft.sample_rate}")
+    sess.n_fed = max(len(y), len(x))  # the shorter input is zero-padded
+    sess.pending = np.stack([np.pad(b.samples, (0, sess.n_fed - len(b))) for b in (y, x)])
+    m_re, m_im, s_hat = sess._finish()
     if report is not None:
-        report["mask_clamped_bins"] = clamped
-    mask = MaskSpec(m_re, m_im)
-    s_hat = istft(apply_mask(y_spec, mask))
-    return mask, s_hat
+        report["mask_clamped_bins"] = sess.mask_clamped_bins
+    return MaskSpec(m_re, m_im), AudioBuffer(s_hat, cfg.stft.sample_rate)
 
 
 # ---- streaming -----------------------------------------------------------
@@ -529,11 +510,15 @@ class StreamingSession:
 
     Feed 160-sample chunks of the microphone and far-end signals; output
     chunks appear after the algorithmic latency of win_len + hop samples
-    (analysis window plus one frame of deep-filter lookahead).  Each frame
-    runs the network's two stages with T = 1; the deep filter's three frames
-    of context live in fixed-size rings, so memory stays flat.  A frame's
-    layer outputs and carried states are checked for finiteness before the
-    session takes them on.
+    (analysis window plus one frame of deep-filter lookahead).  Every call
+    runs one block (`_run`): the whole frames of the pending samples go
+    through the network's two stages at once.  Between blocks the session
+    carries the T-LSTM and cLSTM states, the deep filter's context (the last
+    two frames' spectra and decoder outputs) and the overlap-add tail, so
+    memory stays flat.  `feed` runs one hop, `flush` the zero-padded tail and
+    offline `forward` the whole signal as one block.  A block's layer outputs
+    and carried states are checked for finiteness before the session takes
+    them on.
     """
 
     def __init__(self, store: WeightStore, cfg: ModelConfig):
@@ -544,14 +529,12 @@ class StreamingSession:
         self.win = cfg.stft.win_len
         self.pending = np.zeros((2, 0))  # (mic, far-end) samples not yet framed
         self.n_fed = 0
-        self.frame_idx = 0               # analysis frames made so far
         self.t_states = None
         self.clstm_states = None
-        # frames tau-1, tau, tau+1 around the next output frame tau, zero
-        # before the signal: microphone spectrum and decoder output
-        self.rings = (np.zeros((3, cfg.n_bins), dtype=np.complex128),
-                      np.zeros((3, cfg.n_bins), dtype=np.complex64))
-        self.ola = np.zeros(self.win)    # overlap-add tail accumulator
+        # (mic spectrum, decoder output) of the last frame, which waits for its
+        # lookahead, and of the frame before it; one zero frame before the signal
+        self.context = np.zeros((2, 1, cfg.n_bins), dtype=np.complex128)
+        self.tail = np.zeros(self.win - self.hop)  # overlap-add tail
         self.done = False
         # counters: frames masked and emitted, and their mask bins whose
         # magnitude was limited to MASK_CLAMP
@@ -562,74 +545,81 @@ class StreamingSession:
     def algorithmic_latency(self):
         return self.win + self.hop
 
-    def _analysis(self, frames):
-        """(mic, far-end) spectra of a (2, win_len) pair of frames."""
-        return np.fft.rfft(frames * self.cfg.stft.window, n=self.cfg.stft.fft_size)
+    def _analysis(self, samples):
+        """(mic, far-end) spectra (2, T, F) of every whole frame of (2, n) samples."""
+        t = max((samples.shape[1] - self.win) // self.hop + 1, 0)
+        whole = samples[:, :(t - 1) * self.hop + self.win if t else 0]
+        return np.fft.rfft(frame_signal(whole, self.cfg.stft), n=self.cfg.stft.fft_size)
 
-    def _pushed(self, mic, dec):
-        """The rings with the oldest frame dropped and (mic, dec) appended."""
-        out = []
-        for ring, frame in zip(self.rings, (mic, dec)):
-            new = np.empty_like(ring)
-            new[:-1] = ring[1:]
-            new[-1] = frame
-            out.append(new)
-        return tuple(out)
-
-    def _mask_frame(self, rings):
-        """Mask of the rings' centre frame and the cLSTM states after it."""
-        mic = rings[0][None].astype(np.complex64)
-        dec = rings[1][None]
+    def _mask_frame(self, frames):
+        """Masks (M, F) of the centre frames of (mic, dec) frames (2, M+2, F),
+        and the cLSTM states after them."""
+        re, im = frames.real.astype(np.float32), frames.imag.astype(np.float32)
         with no_grad():
-            m, states = mask_stage(
-                ComplexPair(dec.real, dec.imag), ComplexPair(mic.real, mic.imag),
-                1, self.params, self.cfg, self.clstm_states, note=_check_layer)
+            m, states = mask_stage(ComplexPair(re[1:], im[1:]), ComplexPair(re[:1], im[:1]),
+                                   1, self.params, self.cfg, self.clstm_states,
+                                   note=_check_layer)
         _finite_check("in the cLSTM states", _leaves(states))
-        return m.re[0], m.im[0], states
+        return m.re, m.im, states
 
-    def _process_ready_frames(self, pending):
-        """Run every whole frame of pending; the session takes on a frame's
-        state only once the frame has passed its checks."""
-        out = []
-        while pending.shape[1] >= self.win:
-            spec = self._analysis(pending[:, :self.win])[:, None]  # (2, 1, F)
+    def _run(self, samples, last):
+        """Run every whole frame of (2, n) samples as one block; with last, the
+        frame after them is the zero lookahead past the signal.
+
+        Returns the block's clamped mask (M, F) and its finished samples.  The
+        session takes on the block's state only once all of it has passed its
+        checks.
+        """
+        if not np.all(np.isfinite(samples)):
+            raise NumericError("non-finite values in the input")
+        spec = self._analysis(samples)
+        t = spec.shape[1]
+        frames, t_states = [self.context], self.t_states
+        if t:
+            # single precision through the network: ~4x faster on typical CPUs
+            # and well inside the mask's accuracy needs; synthesis stays double
             with no_grad():
                 dec, t_states = encode_stage(
                     ComplexPair(spec.real.astype(np.float32), spec.imag.astype(np.float32)),
                     1, self.params, self.cfg, self.t_states, note=_check_layer)
             _finite_check("in the T-LSTM states", _leaves(t_states))
-            rings = self._pushed(spec[0, 0], dec.re[0, 0] + 1j * dec.im[0, 0])
-            # the previous frame has its lookahead once a frame follows it
-            mask = self._mask_frame(rings) if self.frame_idx else None
-            pending = pending[:, self.hop:]
-            self.pending, self.t_states, self.rings = pending, t_states, rings
-            self.frame_idx += 1
-            if mask is not None:
-                out.append(self._emit(mask, last=False))
-        self.pending = pending
-        return out
+            frames.append(np.stack([spec[0], dec.re[0] + 1j * dec.im[0]]))
+        if last:
+            frames.append(np.zeros_like(self.context[:, :1]))
+        frames = np.concatenate(frames, axis=1)
+        # a frame is masked once a frame follows it
+        mask = self._mask_frame(frames) if frames.shape[1] > 2 else None
+        self.pending, self.t_states = samples[:, t * self.hop:], t_states
+        self.context = frames[:, -2:]
+        if mask is None:
+            empty = np.zeros((0, self.cfg.n_bins), dtype=np.float32)
+            return empty, empty, np.zeros(0)
+        return self._emit(mask, frames[0, 1:-1], last)
 
-    def _emit(self, mask, last):
-        """Overlap-add the masked centre frame; returns the finished samples."""
+    def _emit(self, mask, mic, last):
+        """Mask the mic spectra (M, F), synthesise them and overlap-add the
+        carried tail; returns the clamped mask and the finished samples: M
+        hops, or all of them with last."""
         m_re, m_im, self.clstm_states = mask
         m_re, m_im, clamped = _clamp_mask(m_re, m_im)
-        self.frames += 1
+        self.frames += len(m_re)
         self.mask_clamped_bins += clamped
-        s = self.rings[0][1] * (m_re + 1j * m_im)
-        self.ola += synthesis(s.real[None], s.imag[None], self.cfg.stft)
+        y = ComplexSpec(mic.real, mic.imag, self.cfg.stft)
+        s = istft(apply_mask(y, MaskSpec(m_re, m_im))).samples
+        s[:len(self.tail)] += self.tail
         if last:
-            chunk, self.ola = self.ola, np.zeros(self.win)
-        else:
-            chunk = self.ola[:self.hop].copy()
-            self.ola = np.concatenate([self.ola[self.hop:], np.zeros(self.hop)])
-        return chunk
+            return m_re, m_im, s
+        n = len(m_re) * self.hop
+        self.tail = s[n:]
+        # a copy: a view would keep all of s alive for a caller keeping chunks
+        return m_re, m_im, s[:n].copy()
 
     def feed(self, y_chunk, x_chunk):
         """Feed aligned hop-sized (160-sample) chunks; returns output samples.
 
-        A chunk with a non-finite sample, or one whose frame turns non-finite
-        inside the network, raises NumericError, as `forward` does, and
-        leaves the session as it was.
+        The chunk runs as one block, as `forward` runs a whole signal: a chunk
+        with a non-finite sample, or one whose frame turns non-finite inside
+        the network, raises NumericError and leaves the session as it was.
         """
         y_chunk = np.asarray(y_chunk, dtype=np.float64).reshape(-1)
         x_chunk = np.asarray(x_chunk, dtype=np.float64).reshape(-1)
@@ -637,24 +627,22 @@ class StreamingSession:
             raise RuntimeError("session already flushed")
         if len(y_chunk) != self.hop or len(x_chunk) != self.hop:
             raise ValueError(f"chunks must be {self.hop} samples")
-        chunk = np.stack([y_chunk, x_chunk])
-        if not np.all(np.isfinite(chunk)):
-            raise NumericError("non-finite values in the input chunk")
-        chunks = self._process_ready_frames(np.concatenate([self.pending, chunk], axis=1))
+        out = self._run(np.concatenate([self.pending, np.stack([y_chunk, x_chunk])], axis=1),
+                        last=False)[2]
         self.n_fed += self.hop
-        return np.concatenate(chunks) if chunks else np.zeros(0)
+        return out
 
     def flush(self):
         """Complete the tail; returns the remaining output samples."""
         if self.done:
             return np.zeros(0)
+        return self._finish()[2]
+
+    def _finish(self):
+        """Zero-pad the pending samples to the signal's last frame and run them
+        as the last block."""
         self.done = True
-        total_frames = self.cfg.stft.n_frames(self.n_fed)
-        # zero-pad the pending tail so the remaining frames can be formed
-        need = (total_frames - self.frame_idx - 1) * self.hop + self.win - self.pending.shape[1]
-        chunks = self._process_ready_frames(
-            np.pad(self.pending, ((0, 0), (0, max(need, 0)))))
-        if self.frame_idx:  # the last frame's lookahead lies past the signal
-            self.rings = self._pushed(0, 0)
-            chunks.append(self._emit(self._mask_frame(self.rings), last=True))
-        return np.concatenate(chunks) if chunks else np.zeros(0)
+        need = (self.cfg.stft.n_frames(self.n_fed) - 1) * self.hop + self.win - self.n_fed
+        # replaced, not kept beside its padded copy: offline, it is the whole signal
+        self.pending = np.pad(self.pending, ((0, 0), (0, need)))
+        return self._run(self.pending, last=True)

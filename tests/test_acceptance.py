@@ -16,7 +16,7 @@ from dcaec.dsp import (RATE, AudioBuffer, ComplexSpec, StftConfig, check_cola,
 from dcaec.gradcheck import run_gradient_suite
 from dcaec.metrics import ChunkPlan, erle, seg_sisnr, si_snr
 from dcaec.model import (ModelConfig, StreamingSession, apply_mask,
-                         build_mask_graph, count_params, forward, ideal_crm,
+                         batch_mask_graph, count_params, forward, ideal_crm,
                          init_weights, params_as_vars)
 from dcaec.nn import (ComplexLstmParams, ComplexPair, ConvSpec, LstmSpec,
                       complex_conv2d, complex_deconv2d, complex_linear,
@@ -59,7 +59,8 @@ def test_01_shape_conformance():
         spec_y = stft(AudioBuffer(0.1 * rng.normal(size=n)), PAPER.stft)
         spec_x = stft(AudioBuffer(0.1 * rng.normal(size=n)), PAPER.stft)
         shapes = {}
-        build_mask_graph(spec_y, spec_x, params, PAPER, collect=shapes)
+        batch_mask_graph([spec_y], [spec_x], params, PAPER,
+                         note=lambda name, pair: shapes.update({name: tuple(pair.shape)}))
         for layer, want in expected.items():
             want_t = tuple(t if w is None else w for w in want)
             if shapes.get(layer) != want_t:

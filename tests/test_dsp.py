@@ -119,6 +119,20 @@ def test_conjugate_synthesis_is_real():
     assert y.dtype == np.float64  # conjugate of a real-signal DFT stays real
 
 
+@pytest.mark.parametrize("n", [0, 1, 159, 320, 321, 480, 1000])
+def test_frame_signal_matches_loop(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(2, n))
+    t = CFG.n_frames(n)
+    want = np.zeros((2, t, CFG.win_len))
+    for i in range(t):
+        seg = x[:, i * CFG.hop:i * CFG.hop + CFG.win_len]
+        want[:, i, :seg.shape[1]] = seg
+    want *= CFG.window
+    np.testing.assert_array_equal(frame_signal(x, CFG), want)
+    np.testing.assert_array_equal(frame_signal(x[1], CFG), want[1])
+
+
 def test_parseval_single_frame():
     rng = np.random.default_rng(4)
     x = rng.normal(size=CFG.win_len)

@@ -12,7 +12,7 @@ from dcaec import autodiff, model
 from dcaec.autodiff import no_grad
 from dcaec.dsp import RATE, AudioBuffer, ComplexSpec, StftConfig, istft, stft
 from dcaec.model import (MaskSpec, ModelConfig, NumericError, StreamingSession,
-                         WeightError, WeightStore, apply_mask, build_mask_graph,
+                         WeightError, WeightStore, apply_mask, batch_mask_graph,
                          count_params, expected_tensor_shapes, forward,
                          ideal_crm, init_weights, params_as_vars,
                          validate_store)
@@ -36,8 +36,8 @@ def test_layer_shapes_across_sequence_lengths():
         n = (t - 1) * PAPER.stft.hop + PAPER.stft.win_len
         y, x = _signals(seconds=n / RATE, seed=t)
         shapes = {}
-        build_mask_graph(stft(y, PAPER.stft), stft(x, PAPER.stft),
-                         params, PAPER, collect=shapes)
+        batch_mask_graph([stft(y, PAPER.stft)], [stft(x, PAPER.stft)], params, PAPER,
+                         note=lambda name, pair: shapes.update({name: tuple(pair.shape)}))
         assert shapes["input"] == (2, t, 161)
         assert shapes["enc0"] == (32, t, 79)
         assert shapes["enc1"] == (96, t, 79)
@@ -164,6 +164,17 @@ def test_forward_pads_shorter_input():
     x = AudioBuffer(np.zeros(RATE // 2))
     mask, _ = forward(y, x, store, DESK)
     assert mask.re.shape[0] == DESK.stft.n_frames(RATE)
+
+
+def test_forward_on_empty_input_gives_empty_output():
+    # the same contract as a session that is flushed unfed
+    store = init_weights(DESK, seed=0)
+    rep = {}
+    mask, s_hat = forward(AudioBuffer(np.zeros(0)), AudioBuffer(np.zeros(0)), store, DESK,
+                          report=rep)
+    assert mask.re.shape == mask.im.shape == (0, DESK.n_bins)
+    assert len(s_hat) == 0 and rep["mask_clamped_bins"] == 0
+    assert StreamingSession(store, DESK).flush().size == 0
 
 
 def test_apply_mask_identity_and_zero():
@@ -345,10 +356,10 @@ def test_mask_graph_without_recording_matches_graph(wiring):
     store = init_weights(cfg, seed=0)
     y, x = _signals(seconds=0.3, seed=12)
     ys, xs = stft(y, cfg.stft), stft(x, cfg.stft)
-    graph = build_mask_graph(ys, xs, params_as_vars(store), cfg)
+    graph = batch_mask_graph([ys], [xs], params_as_vars(store), cfg)
     arrays = {k: np.asarray(v, dtype=np.float64) for k, v in store.tensors.items()}
     with no_grad():
-        plain = build_mask_graph(ys, xs, arrays, cfg)
+        plain = batch_mask_graph([ys], [xs], arrays, cfg)
     assert isinstance(graph.re, autodiff.Var)
     assert isinstance(plain.re, np.ndarray)
     assert plain.re.dtype == np.float64
@@ -437,7 +448,7 @@ def test_mask_graph_rejects_unknown_wiring():
     store = init_weights(ModelConfig.desk_mode(), seed=0)
     y, x = _signals(seconds=0.2)
     with pytest.raises(ValueError):
-        build_mask_graph(stft(y, cfg.stft), stft(x, cfg.stft),
+        batch_mask_graph([stft(y, cfg.stft)], [stft(x, cfg.stft)],
                          params_as_vars(store), cfg)
 
 
