@@ -125,7 +125,7 @@ def cmd_process(args):
             _, s_hat = forward(mic, far, store, cfg, report=rep)
     wall = time.perf_counter() - t0
     clipped = write_wav(args.out, s_hat)
-    rep["rtf"] = wall / max(mic.duration, 1e-9)
+    rep["rtf"] = wall / mic.duration if mic.duration else None  # undefined without audio
     rep["processing_seconds"] = wall
     rep["audio_seconds"] = mic.duration
     rep["clipped_samples"] = clipped
@@ -269,6 +269,8 @@ def cmd_traintoy(args):
 
 def cmd_bench(args):
     """Time offline inference and streaming hops on one BLAS thread."""
+    if not args.seconds > 0:
+        raise InputError(f"--seconds must be positive, got {args.seconds}")
     if args.weights:
         store, cfg = _load_model(args.weights)
     else:

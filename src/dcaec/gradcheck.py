@@ -1,22 +1,29 @@
 """Finite-difference validation of every differentiable kernel.
 
 Each check builds a scalar loss from a kernel output via a fixed random
-projection, computes reverse-mode gradients, and compares against central
-finite differences in float64.  The composed model loss is checked on
-sampled parameter entries (full differencing over every entry would be
-needlessly slow without adding coverage).
+projection, computes reverse-mode gradients, and compares them against
+`training.finite_diff`'s central differences in float64.  The recurrent
+checks and the composed model loss run on SMALL, the paper's topology at
+toy widths, with weights named, shaped and bundled by `model` itself.  The
+composed loss is checked on sampled parameter entries (full differencing
+over every entry would be needlessly slow without adding coverage).
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from .autodiff import as_var
 from .dsp import AudioBuffer, StftConfig
 from .metrics import ChunkPlan, seg_sisnr, si_snr
-from .model import ModelConfig, init_weights
-from .nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
-                 LstmSpec, complex_conv2d, complex_deconv2d, complex_lstm,
-                 deep_filter_apply, ft_lstm_block, lstm_seq, prelu)
+from .model import (ModelConfig, _clstm_params, _ft_params, _lstm_spec,
+                    expected_tensor_shapes, init_weights)
+from .nn import (ComplexPair, ConvSpec, complex_conv2d, complex_deconv2d,
+                 complex_lstm, deep_filter_apply, ft_lstm_block, lstm_seq, prelu)
 from .training import backward, example_loss, finite_diff, rel_error
+
+# 17 bins -> 7 at the bottleneck -> 17
+SMALL = replace(ModelConfig._sized(2, 2, 2, 2, 1, 0, "decoder"), stft=StftConfig(32, 16, 32))
 
 
 def _project(pair, r1, r2):
@@ -34,17 +41,10 @@ def _check(build_loss, arrays, h=1e-3):
     return max(rel_error(grads[k], fd[k]) for k in arrays)
 
 
-def _lstm_weights(rng, i, hdim, bidirectional=False, prefix=""):
-    names = ["w_ih", "w_hh", "b_ih", "b_hh"]
-    if bidirectional:
-        names += [n + "_rev" for n in list(names)]
-    shapes = {"w_ih": (4 * hdim, i), "w_hh": (4 * hdim, hdim),
-              "b_ih": (4 * hdim,), "b_hh": (4 * hdim,)}
-    out = {}
-    for n in names:
-        base = n[:-4] if n.endswith("_rev") else n
-        out[prefix + n] = 0.4 * rng.normal(size=shapes[base])
-    return out
+def _small_weights(rng, prefix):
+    """0.4 N(0, 1) weights for SMALL's tensors whose names start with prefix."""
+    return {k: 0.4 * rng.normal(size=shape)
+            for k, shape in expected_tensor_shapes(SMALL).items() if k.startswith(prefix)}
 
 
 def check_conv(rng, transposed=False):
@@ -69,72 +69,45 @@ def check_conv(rng, transposed=False):
 
 
 def check_lstm(rng, bidirectional):
-    s, b, i, hdim = 4, 2, 3, 3
-    arrays = _lstm_weights(rng, i, hdim, bidirectional)
-    arrays["x"] = rng.normal(size=(s, b, i))
-    out_dim = hdim * (2 if bidirectional else 1)
-    r = rng.normal(size=(s, b, out_dim))
+    """The F-LSTM (bidirectional) or the T-LSTM of SMALL's real part."""
+    s, b, c, h = 4, 2, SMALL.bottleneck_ch, SMALL.lstm_hidden
+    prefix = "ft.re.f" if bidirectional else "ft.re.t"
+    arrays = _small_weights(rng, prefix)
+    arrays["x"] = rng.normal(size=(s, b, c))
+    r = rng.normal(size=(s, b, h * (2 if bidirectional else 1)))
 
     def loss(p):
-        spec = LstmSpec(i, hdim, bidirectional,
-                        {k: v for k, v in p.items() if k != "x"})
-        y, _ = lstm_seq(p["x"], spec)
+        y, _ = lstm_seq(p["x"], _lstm_spec(p, prefix, c, h, bidirectional))
         return (y * r).sum()
 
     return _check(loss, arrays)
 
 
 def check_ft_lstm(rng):
-    c, f, t, hdim = 2, 3, 3, 2
-    arrays = {}
-    for part in ("re", "im"):
-        arrays.update(_lstm_weights(rng, c, hdim, True, f"{part}.f."))
-        arrays.update(_lstm_weights(rng, c, hdim, False, f"{part}.t."))
-        arrays[f"{part}.pf_w"] = 0.4 * rng.normal(size=(c, 2 * hdim))
-        arrays[f"{part}.pf_b"] = 0.4 * rng.normal(size=(c,))
-        arrays[f"{part}.pt_w"] = 0.4 * rng.normal(size=(c, hdim))
-        arrays[f"{part}.pt_b"] = 0.4 * rng.normal(size=(c,))
+    c, f, t = SMALL.bottleneck_ch, 3, 3
+    arrays = _small_weights(rng, "ft.")
     arrays["hr"] = rng.normal(size=(c, f, t))
     arrays["hi"] = rng.normal(size=(c, f, t))
     r1 = rng.normal(size=(c, f, t))
     r2 = rng.normal(size=(c, f, t))
 
-    def part_params(p, part):
-        pick = lambda pre: {k[len(pre):]: v for k, v in p.items() if k.startswith(pre)}
-        return FtLstmParams(
-            f_spec=LstmSpec(c, hdim, True, pick(f"{part}.f.")),
-            t_spec=LstmSpec(c, hdim, False, pick(f"{part}.t.")),
-            proj_f_w=p[f"{part}.pf_w"], proj_f_b=p[f"{part}.pf_b"],
-            proj_t_w=p[f"{part}.pt_w"], proj_t_b=p[f"{part}.pt_b"])
-
     def loss(p):
-        out, _ = ft_lstm_block(ComplexPair(p["hr"], p["hi"]),
-                               part_params(p, "re"), part_params(p, "im"))
+        out, _ = ft_lstm_block(ComplexPair(p["hr"], p["hi"]), *_ft_params(p, SMALL))
         return _project(out, r1, r2)
 
     return _check(loss, arrays)
 
 
 def check_complex_lstm(rng):
-    t, d, hdim = 4, 3, 2
-    arrays = {}
-    arrays.update(_lstm_weights(rng, d, hdim, False, "r."))
-    arrays.update(_lstm_weights(rng, d, hdim, False, "i."))
-    arrays["pr"] = 0.4 * rng.normal(size=(d, hdim))
-    arrays["pi"] = 0.4 * rng.normal(size=(d, hdim))
-    arrays["br"] = 0.4 * rng.normal(size=(d,))
-    arrays["bi"] = 0.4 * rng.normal(size=(d,))
+    t, d = 4, SMALL.n_bins
+    arrays = _small_weights(rng, "clstm0.")
     arrays["xr"] = rng.normal(size=(t, d))
     arrays["xi"] = rng.normal(size=(t, d))
     r1 = rng.normal(size=(t, d))
     r2 = rng.normal(size=(t, d))
 
     def loss(p):
-        pick = lambda pre: {k[len(pre):]: v for k, v in p.items() if k.startswith(pre)}
-        layer = ComplexLstmParams(
-            spec_r=LstmSpec(d, hdim, False, pick("r.")),
-            spec_i=LstmSpec(d, hdim, False, pick("i.")),
-            proj_pr=p["pr"], proj_pi=p["pi"], proj_br=p["br"], proj_bi=p["bi"])
+        layer, = _clstm_params(p, SMALL)
         out, _ = complex_lstm(ComplexPair(p["xr"], p["xi"]), layer)
         return _project(out, r1, r2)
 
@@ -192,20 +165,6 @@ def check_seg_sisnr(rng):
     return _check(loss, arrays)
 
 
-def _micro_config():
-    return ModelConfig(
-        stft=StftConfig(win_len=32, hop=16, fft_size=32),
-        enc_specs=(ConvSpec(in_ch=2, out_ch=2, kernel_f=3, stride_f=2, pad_f=0),
-                   ConvSpec(in_ch=2, out_ch=2, kernel_f=3, stride_f=1, pad_f=1)),
-        dec_specs=(ConvSpec(in_ch=2, out_ch=2, kernel_f=3, stride_f=1, pad_f=1,
-                            transposed=True),
-                   ConvSpec(in_ch=2, out_ch=1, kernel_f=3, stride_f=2, pad_f=0,
-                            transposed=True)),
-        df_spec=ConvSpec(in_ch=1, out_ch=9, kernel_f=3, kernel_t=3, pad_f=1,
-                         pad_t=1),
-        lstm_hidden=2, clstm_hidden=2, clstm_layers=1)
-
-
 def check_composed_loss(rng, entries_per_tensor=4, h=1e-5):
     """Sampled finite differences through the whole model + objective.
 
@@ -213,13 +172,9 @@ def check_composed_loss(rng, entries_per_tensor=4, h=1e-5):
     smaller step keeps the central-difference truncation error below the
     comparison tolerance (verified by a step-size convergence study).
     """
-    cfg = _micro_config()
-    # deconv chain: 17 -> 8 -> 8 -> 17 bins
-    assert cfg.dec_specs[-1].f_out(cfg.bottleneck_bins) == cfg.n_bins
-    store = init_weights(cfg, seed=int(rng.integers(2 ** 31)))
-    arrays = {k: np.asarray(v, dtype=np.float64).copy()
-              for k, v in store.tensors.items()}
-    n = 8 * cfg.stft.hop
+    store = init_weights(SMALL, seed=int(rng.integers(2 ** 31)))
+    arrays = {k: v.astype(np.float64) for k, v in store.tensors.items()}
+    n = 8 * SMALL.stft.hop
 
     class Ex:
         y = AudioBuffer(rng.normal(size=n))
@@ -229,27 +184,24 @@ def check_composed_loss(rng, entries_per_tensor=4, h=1e-5):
     plan = ChunkPlan((1, 2))
 
     def build(p):
-        return example_loss(Ex, p, cfg, plan)
+        return example_loss(Ex, p, SMALL, plan)
 
     params = {k: as_var(v) for k, v in arrays.items()}
     grads = backward(build(params), params)
 
+    def f():
+        return float(build({k: as_var(v) for k, v in arrays.items()}).data)
+
     worst = 0.0
     for name, a in arrays.items():
-        flat = a.reshape(-1)
+        flat, ad = a.reshape(-1), grads[name].reshape(-1)
         idx = rng.choice(flat.size, size=min(entries_per_tensor, flat.size),
                          replace=False)
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(build({k: as_var(v) for k, v in arrays.items()}).data)
-            flat[i] = orig - h
-            fm = float(build({k: as_var(v) for k, v in arrays.items()}).data)
-            flat[i] = orig
-            fd = (fp - fm) / (2 * h)
-            ad = grads[name].reshape(-1)[i]
-            scale = max(abs(fd), np.max(np.abs(grads[name])), 1e-8)
-            worst = max(worst, abs(ad - fd) / scale)
+        # 1-element views: differencing them moves the entry in arrays
+        fd = finite_diff(f, {i: flat[i:i + 1] for i in idx}, h=h)
+        scale = max(np.max(np.abs(ad)), 1e-8)
+        worst = max([worst] + [abs(ad[i] - d[0]) / max(abs(d[0]), scale)
+                               for i, d in fd.items()])
     return worst
 
 

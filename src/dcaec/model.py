@@ -45,6 +45,8 @@ def _conv_row(s: ConvSpec):
 
 @dataclass
 class ModelConfig:
+    # The activation is fixed: a PReLU after every encoder and decoder conv
+    # but the last decoder layer (see _conv_stack).
     stft: StftConfig = field(default_factory=StftConfig)
     enc_specs: tuple = ()
     dec_specs: tuple = ()
@@ -52,7 +54,6 @@ class ModelConfig:
     lstm_hidden: int = 128
     clstm_hidden: int = 128
     clstm_layers: int = 2
-    activation: str = "prelu"
     df_wiring: str = "decoder"  # "decoder" or "input": what the taps filter
     seed: int = 0
 
@@ -117,13 +118,15 @@ class ModelConfig:
             "lstm_hidden": self.lstm_hidden,
             "clstm_hidden": self.clstm_hidden,
             "clstm_layers": self.clstm_layers,
-            "activation": self.activation,
+            "activation": "prelu",  # fixed; written so hashes stay the same
             "df_wiring": self.df_wiring,
             "input_order": "complex channels (mic, farend)",
         }
 
     @classmethod
     def from_dict(cls, d):
+        if d["activation"] != "prelu":
+            raise ValueError(f"activation {d['activation']!r}: the network uses PReLU")
         stft = StftConfig(win_len=d["stft"]["win_len"], hop=d["stft"]["hop"],
                           fft_size=d["stft"]["fft_size"],
                           sample_rate=d["stft"]["sample_rate"])
@@ -144,7 +147,6 @@ class ModelConfig:
             lstm_hidden=d["lstm_hidden"],
             clstm_hidden=d["clstm_hidden"],
             clstm_layers=d["clstm_layers"],
-            activation=d["activation"],
             df_wiring=d["df_wiring"],
         )
 
@@ -202,13 +204,21 @@ def _init_conv(rng, tensors, name, s: ConvSpec, prelu):
         tensors[f"{name}.alpha_i"] = np.full((s.out_ch, 1, 1), 0.25, dtype=np.float32)
 
 
+def _conv_stack(cfg: ModelConfig, decoder):
+    """(name, spec, prelu) of the encoder's or the decoder's layers, in network
+    order.  The decoder mirrors the encoder's numbering, so dec0 is the last
+    layer; it is linear, and every other layer ends in a PReLU."""
+    specs = cfg.dec_specs if decoder else cfg.enc_specs
+    names = [f"dec{len(specs) - 1 - i}" if decoder else f"enc{i}" for i in range(len(specs))]
+    return [(name, s, name != "dec0") for name, s in zip(names, specs)]
+
+
 def init_weights(cfg: ModelConfig, seed=None) -> WeightStore:
     """Seeded random weight store matching cfg."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     t = OrderedDict()
-    prelu = cfg.activation == "prelu"
-    for i, s in enumerate(cfg.enc_specs):
-        _init_conv(rng, t, f"enc{i}", s, prelu)
+    for name, s, prelu in _conv_stack(cfg, decoder=False):
+        _init_conv(rng, t, name, s, prelu)
     c = cfg.bottleneck_ch
     h = cfg.lstm_hidden
     for part in ("re", "im"):
@@ -218,10 +228,8 @@ def init_weights(cfg: ModelConfig, seed=None) -> WeightStore:
         _init_lstm(rng, t, f"ft.{part}.t", c, h, bidirectional=False)
         t[f"ft.{part}.proj_t.w"] = _uniform(rng, (c, h), h)
         t[f"ft.{part}.proj_t.b"] = _uniform(rng, (c,), h)
-    n_dec = len(cfg.dec_specs)
-    for i, s in enumerate(cfg.dec_specs):
-        # mirror encoder numbering: dec0 is the last layer, which is linear
-        _init_conv(rng, t, f"dec{n_dec - 1 - i}", s, prelu and i < n_dec - 1)
+    for name, s, prelu in _conv_stack(cfg, decoder=True):
+        _init_conv(rng, t, name, s, prelu)
     _init_conv(rng, t, "df", cfg.df_spec, False)
     d = cfg.n_bins
     ch = cfg.clstm_hidden
@@ -347,10 +355,9 @@ def encode_stage(w: ComplexPair, b, params, cfg: ModelConfig, t_states=None,
     Returns the decoder output (1, B*T, F) and the T-LSTM states after the
     block.  note(name, pair) sees every layer's output.
     """
-    prelu = cfg.activation == "prelu"
-    for i, spec in enumerate(cfg.enc_specs):
-        w = _conv_layer(complex_conv2d, w, params, f"enc{i}", spec, prelu)
-        note(f"enc{i}", w)
+    for name, spec, prelu in _conv_stack(cfg, decoder=False):
+        w = _conv_layer(complex_conv2d, w, params, name, spec, prelu)
+        note(name, w)
 
     c, n, f = w.shape
     h = ComplexPair(*(x.reshape(c, b, n // b, f).transpose(0, 3, 1, 2)
@@ -359,12 +366,9 @@ def encode_stage(w: ComplexPair, b, params, cfg: ModelConfig, t_states=None,
     w = ComplexPair(*(x.transpose(0, 2, 3, 1).reshape(c, n, f) for x in (h.re, h.im)))
     note("ft_lstm", w)
 
-    n_dec = len(cfg.dec_specs)
-    for i, spec in enumerate(cfg.dec_specs):
-        j = n_dec - 1 - i  # mirror encoder numbering: dec0 is the last layer
-        w = _conv_layer(complex_deconv2d, w, params, f"dec{j}", spec,
-                        prelu and i < n_dec - 1)  # final deconv is linear
-        note(f"dec{j}", w)
+    for name, spec, prelu in _conv_stack(cfg, decoder=True):
+        w = _conv_layer(complex_deconv2d, w, params, name, spec, prelu)
+        note(name, w)
     return w, t_states
 
 

@@ -6,7 +6,7 @@ microphone delay, gain dips and peak normalization.  All randomness lives in
 the recipe; synthesis is a pure function of (recipe, corpus).
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -398,13 +398,7 @@ def make_training_examples(rng, corpus: Corpus, count, seconds=1.0,
             continue  # silent near clip or degenerate mixture: redraw
         if len(ex.y) < n:
             continue
-        cropped = SceneExample(
-            s=AudioBuffer(ex.s.samples[:n]), x=AudioBuffer(ex.x.samples[:n]),
-            d=AudioBuffer(ex.d.samples[:n]), v=AudioBuffer(ex.v.samples[:n]),
-            y=AudioBuffer(ex.y.samples[:n]), recipe=ex.recipe,
-            measured_ser_db=ex.measured_ser_db,
-            measured_snr_db=ex.measured_snr_db,
-            y_scale=ex.y_scale, x_scale=ex.x_scale)
+        cropped = replace(ex, **{k: AudioBuffer(getattr(ex, k).samples[:n]) for k in "sxdvy"})
         if np.mean(cropped.s.samples ** 2) < 1e-6:
             continue
         out.append(cropped)

@@ -102,6 +102,34 @@ def test_process_reports_clamped_mask_bins(tmp_path, streaming, capsys):
     assert rep["mask_clamped_bins"] == cfg.stft.n_frames(RATE // 4) * cfg.n_bins
 
 
+@pytest.mark.parametrize("streaming", [False, True])
+def test_process_empty_wavs_report_no_rtf(tmp_path, desk_weights, streaming, capsys):
+    """A real-time factor is undefined without audio: it reads null."""
+    mic = _wav(tmp_path / "m.wav", np.zeros(0))
+    main(["process", "--mic", str(mic), "--farend", str(mic), "--weights", str(desk_weights),
+          "--out", str(tmp_path / "o.wav")] + (["--streaming"] if streaming else []))
+    rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rep["audio_seconds"] == 0
+    assert rep["rtf"] is None
+
+
+def test_process_rejects_weights_with_another_activation(tmp_path, capsys):
+    """A weight file laid out for a network without PReLU (no alpha tensors)
+    and whose config names another activation is bad input."""
+    store = init_weights(ModelConfig.desk_mode(), seed=0)
+    for name in [k for k in store.tensors if ".alpha_" in k]:
+        del store.tensors[name]
+    store.meta["config"]["activation"] = "relu"
+    weights = tmp_path / "relu.bin"
+    save_weights(weights, store)
+    mic = _wav(tmp_path / "m.wav", np.zeros(RATE // 4))
+    with pytest.raises(SystemExit) as e:
+        main(["process", "--mic", str(mic), "--farend", str(mic), "--weights", str(weights),
+              "--out", str(tmp_path / "o.wav")])
+    assert e.value.code == 2
+    assert "activation" in capsys.readouterr().err
+
+
 def test_process_missing_file_exit_2(tmp_path, desk_weights, capsys):
     with pytest.raises(SystemExit) as e:
         main(["process", "--mic", str(tmp_path / "nope.wav"),
@@ -216,6 +244,37 @@ def test_bench_report(desk_weights, capsys, monkeypatch):
     assert 0 < rep["stream_hop_ms_p50"] <= rep["stream_hop_ms_p99"] <= rep["stream_hop_ms_max"]
     assert rep["stream_rtf"] > 0
     _check_threads_pinned(rep)
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1"])
+def test_bench_rejects_nonpositive_seconds(desk_weights, seconds, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "--weights", str(desk_weights), "--seconds", seconds])
+    assert e.value.code == 2
+    assert "--seconds" in capsys.readouterr().err
+
+
+GRADIENT_CHECKS = ("complex_conv2d", "complex_deconv2d", "lstm_uni", "lstm_bidi",
+                   "ft_lstm_block", "complex_lstm", "deep_filter", "prelu",
+                   "si_snr_loss", "seg_sisnr_loss", "composed_model_loss")
+
+
+def test_gradcheck_command_passes(capsys):
+    main(["gradcheck"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[0] for l in lines[:-1]] == list(GRADIENT_CHECKS)
+    assert all(l.split()[-1] == "ok" for l in lines[:-1])
+    assert lines[-1].startswith("gradcheck passed")
+
+
+def test_gradcheck_command_fails_below_tolerance(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["gradcheck", "--tol", "1e-30"])
+    assert e.value.code == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [l.split()[0] for l in lines if l.split()[-1] == "FAIL"]
+    assert failed
+    assert lines[-1] == f"gradcheck failed for: {', '.join(failed)}"
 
 
 def test_single_threaded_without_threadpoolctl_pins_and_restores(monkeypatch):

@@ -129,6 +129,21 @@ def test_config_dict_round_trip():
     assert PAPER.config_hash() != DESK.config_hash()
 
 
+def test_config_rejects_other_activations():
+    d = DESK.to_dict()
+    assert d["activation"] == "prelu"
+    d["activation"] = "relu"
+    with pytest.raises(ValueError, match="activation"):
+        ModelConfig.from_dict(d)
+
+
+def test_config_hashes_are_pinned():
+    """The file format (and so every weight file's config hash) is fixed."""
+    assert PAPER.config_hash() == "0ceb0eb8d1735649"
+    assert DESK.config_hash() == "33da0c584c64d552"
+    assert ModelConfig.desk_mode(df_wiring="input").config_hash() == "86a9060a89c466cf"
+
+
 def test_config_rejects_convolutions_that_mix_frames():
     enc = DESK.to_dict()
     enc["enc"][0][3] = 3  # kernel_t
