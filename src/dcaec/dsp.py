@@ -12,7 +12,7 @@ objective: it takes arrays or autodiff Vars, so the loss is differentiated
 through the same code that produces the output signal.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -74,19 +74,14 @@ class StftConfig:
     win_len: int = 320
     hop: int = 160
     fft_size: int = 320
-    window: np.ndarray = field(default=None)
     sample_rate: int = RATE
 
     def __post_init__(self):
-        if self.window is None:
-            self.window = sqrt_hann(self.win_len)
-        self.window = np.asarray(self.window, dtype=np.float64)
+        self.window = sqrt_hann(self.win_len)
         if self.fft_size < self.win_len:
             raise ValueError("fft_size must be >= win_len")
         if self.win_len % self.hop != 0:
             raise ValueError("hop must divide win_len")
-        if len(self.window) != self.win_len:
-            raise ValueError("window length mismatch")
         ok, _ = check_cola(self.window, self.window, self.hop)
         if not ok:
             raise ValueError("window does not satisfy COLA at this hop")

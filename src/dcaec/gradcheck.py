@@ -9,8 +9,6 @@ composed loss is checked on sampled parameter entries (full differencing
 over every entry would be needlessly slow without adding coverage).
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from .autodiff import as_var
@@ -23,7 +21,7 @@ from .nn import (ComplexPair, ConvSpec, complex_conv2d, complex_deconv2d,
 from .training import backward, example_loss, finite_diff, rel_error
 
 # 17 bins -> 7 at the bottleneck -> 17
-SMALL = replace(ModelConfig._sized(2, 2, 2, 2, 1, 0, "decoder"), stft=StftConfig(32, 16, 32))
+SMALL = ModelConfig(StftConfig(32, 16, 32), (2, 2), 2, 2, 1)
 
 
 def _project(pair, r1, r2):

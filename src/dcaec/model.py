@@ -24,8 +24,10 @@ from .dsp import (AudioBuffer, ComplexSpec, SampleRateError, StftConfig, frame_s
 # no caller since forward became a StreamingSession run; perfbench/tracing.py patches it
 from .dsp import stft  # noqa: F401
 from .nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
-                 LstmSpec, activation, complex_conv2d, complex_deconv2d,
+                 LstmSpec, complex_conv2d, complex_deconv2d,
                  complex_lstm, deep_filter_apply, ft_lstm_block)
+# the activation after each conv, under the name perfbench/tracing.py patches
+from .nn import prelu as activation
 
 
 class NumericError(RuntimeError):
@@ -43,14 +45,26 @@ def _conv_row(s: ConvSpec):
     return [s.in_ch, s.out_ch, s.kernel_f, s.kernel_t, s.stride_f, s.stride_t, s.pad_f, s.pad_t]
 
 
+def _json(x):
+    return json.dumps(x, sort_keys=True)
+
+
 @dataclass
 class ModelConfig:
-    # The activation is fixed: a PReLU after every encoder and decoder conv
-    # but the last decoder layer (see _conv_stack).
+    """The paper's network at the given widths.
+
+    The topology is fixed: a frame-local complex conv encoder (2 -> c1
+    channels, kernel 5 and stride 2 over frequency; c1 -> c2, kernel 3), the
+    F-T-LSTM at the bottleneck, a mirrored deconv decoder down to one
+    channel, a deep filter whose 3 x 3 taps span one bin and one frame
+    either way, and clstm_layers complex LSTMs; a PReLU follows every conv
+    but the last decoder layer (see _conv_stack).  Only the STFT sizes, the
+    widths, the deep filter's wiring and the seed vary; the layer specs are
+    built from them once per config (derive a config with dataclasses.replace).
+    """
+
     stft: StftConfig = field(default_factory=StftConfig)
-    enc_specs: tuple = ()
-    dec_specs: tuple = ()
-    df_spec: ConvSpec = None
+    channels: tuple = (32, 96)  # encoder output channels (c1, c2)
     lstm_hidden: int = 128
     clstm_hidden: int = 128
     clstm_layers: int = 2
@@ -58,53 +72,27 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the network runs on blocks of frames down to one frame, so the
-        # encoder and decoder must not mix frames and the deep filter must
-        # reach exactly one frame either way
-        for s in (*self.enc_specs, *self.dec_specs):
-            if (s.kernel_t, s.stride_t, s.pad_t) != (1, 1, 0):
-                raise ValueError("encoder and decoder convolutions must be frame-local "
-                                 "(kernel_t = stride_t = 1, pad_t = 0)")
-        d = self.df_spec
-        if d is not None and (d.kernel_t, d.stride_t, d.pad_t) != (3, 1, 1):
-            raise ValueError("the deep filter convolution must span one frame either "
-                             "way (kernel_t = 3, stride_t = 1, pad_t = 1)")
-
-    @classmethod
-    def _sized(cls, ch1, ch2, lstm_hidden, clstm_hidden, clstm_layers, seed, df_wiring):
-        """The paper's topology with the given widths."""
-        return cls(
-            enc_specs=(ConvSpec(in_ch=2, out_ch=ch1, kernel_f=5, stride_f=2),
-                       ConvSpec(in_ch=ch1, out_ch=ch2, kernel_f=3, pad_f=1)),
-            dec_specs=(ConvSpec(in_ch=ch2, out_ch=ch1, kernel_f=3, pad_f=1, transposed=True),
-                       ConvSpec(in_ch=ch1, out_ch=1, kernel_f=5, stride_f=2, transposed=True)),
-            df_spec=ConvSpec(in_ch=1, out_ch=9, kernel_f=3, kernel_t=3, pad_f=1, pad_t=1),
-            lstm_hidden=lstm_hidden, clstm_hidden=clstm_hidden,
-            clstm_layers=clstm_layers, seed=seed, df_wiring=df_wiring)
+        c1, c2 = self.channels
+        self.enc_specs = (ConvSpec(in_ch=2, out_ch=c1, kernel_f=5, stride_f=2),
+                          ConvSpec(in_ch=c1, out_ch=c2, kernel_f=3, pad_f=1))
+        self.dec_specs = (ConvSpec(in_ch=c2, out_ch=c1, kernel_f=3, pad_f=1, transposed=True),
+                          ConvSpec(in_ch=c1, out_ch=1, kernel_f=5, stride_f=2, transposed=True))
+        self.df_spec = ConvSpec(in_ch=1, out_ch=9, kernel_f=3, kernel_t=3, pad_f=1, pad_t=1)
+        self.bottleneck_ch = c2
 
     @classmethod
     def paper_mode(cls, seed=0, df_wiring="decoder"):
-        return cls._sized(32, 96, 128, 128, 2, seed, df_wiring)
+        return cls(df_wiring=df_wiring, seed=seed)
 
     @classmethod
     def desk_mode(cls, seed=0, df_wiring="decoder"):
         """Small configuration for fast desk-scale training experiments."""
-        return cls._sized(4, 8, 16, 32, 1, seed, df_wiring)
+        return cls(channels=(4, 8), lstm_hidden=16, clstm_hidden=32, clstm_layers=1,
+                   df_wiring=df_wiring, seed=seed)
 
     @property
     def n_bins(self):
         return self.stft.n_bins
-
-    @property
-    def bottleneck_bins(self):
-        f = self.n_bins
-        for s in self.enc_specs:
-            f = s.f_out(f)
-        return f
-
-    @property
-    def bottleneck_ch(self):
-        return self.enc_specs[-1].out_ch
 
     def to_dict(self):
         return {
@@ -125,34 +113,28 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        if d["activation"] != "prelu":
-            raise ValueError(f"activation {d['activation']!r}: the network uses PReLU")
-        stft = StftConfig(win_len=d["stft"]["win_len"], hop=d["stft"]["hop"],
-                          fft_size=d["stft"]["fft_size"],
-                          sample_rate=d["stft"]["sample_rate"])
-
-        def conv(row, transposed):
-            i, o, kf, kt, sf, st, pf, pt = row
-            return ConvSpec(in_ch=i, out_ch=o, kernel_f=kf, kernel_t=kt,
-                            stride_f=sf, stride_t=st, pad_f=pf, pad_t=pt,
-                            transposed=transposed)
-
-        df = d["df"]
-        return cls(
-            stft=stft,
-            enc_specs=tuple(conv(r, False) for r in d["enc"]),
-            dec_specs=tuple(conv(r, True) for r in d["dec"]),
-            df_spec=ConvSpec(in_ch=df[0], out_ch=df[1], kernel_f=df[2],
-                             kernel_t=df[3], pad_f=df[4], pad_t=df[5]),
-            lstm_hidden=d["lstm_hidden"],
-            clstm_hidden=d["clstm_hidden"],
-            clstm_layers=d["clstm_layers"],
-            df_wiring=d["df_wiring"],
-        )
+        """The config d describes; ValueError unless to_dict gives d back exactly."""
+        try:
+            s = d["stft"]
+            cfg = cls(StftConfig(*(int(s[k]) for k in ("win_len", "hop", "fft_size",
+                                                        "sample_rate"))),
+                      (int(d["enc"][0][1]), int(d["enc"][1][1])),
+                      *(int(d[k]) for k in ("lstm_hidden", "clstm_hidden", "clstm_layers")),
+                      d["df_wiring"])
+        except KeyError as e:
+            raise ValueError(f"model config lacks key {e}") from None
+        except (IndexError, TypeError, ValueError) as e:
+            raise ValueError(f"malformed model config: {e}") from None
+        back = cfg.to_dict()
+        differ = sorted(k for k in back.keys() | d.keys() if _json(back.get(k)) != _json(d.get(k)))
+        if differ:
+            raise ValueError(
+                f"model config differs in {differ} from this network: frame-local encoder "
+                "and decoder, a deep filter that spans one frame either way, PReLU activation")
+        return cfg
 
     def config_hash(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return hashlib.sha256(_json(self.to_dict()).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -342,8 +324,8 @@ def _no_note(name, pair):
 def _conv_layer(conv, w, params, name, spec, prelu):
     w = conv(w, ComplexPair(params[f"{name}.kr"], params[f"{name}.ki"]), spec)
     if prelu:
-        w = ComplexPair(activation(w.re, "prelu", params[f"{name}.alpha_r"]),
-                        activation(w.im, "prelu", params[f"{name}.alpha_i"]))
+        w = ComplexPair(activation(w.re, params[f"{name}.alpha_r"]),
+                        activation(w.im, params[f"{name}.alpha_i"]))
     return w
 
 

@@ -455,9 +455,3 @@ def prelu(x, alpha):
     x = lift(x)
     mask = (value(x) >= 0).astype(x.dtype)
     return x * mask + lift(alpha) * (x * (1.0 - mask))
-
-
-def activation(x, kind, alpha=None):
-    if kind == "prelu":
-        return prelu(x, alpha)
-    raise ValueError(f"unknown activation kind {kind!r}")

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .dsp import RATE, AudioBuffer, apply_delay
+from .dsp import RATE, AudioBuffer
 from .metrics import measure_ratio
 
 SPEED_OF_SOUND = 343.0
@@ -335,11 +335,6 @@ def synthesize(recipe: SceneRecipe, corpus: Corpus) -> SceneExample:
         if np.any(region):
             d = mix_at_ratio(s, d, recipe.ser_db, region)
             measured_ser = measure_ratio(s[region], d[region])
-            ser_region = region
-        else:
-            ser_region = None
-    else:
-        ser_region = None
     if np.any(v != 0) and np.any(s_active):
         v = mix_at_ratio(s, v, recipe.snr_db, s_active)
         measured_snr = measure_ratio(s[s_active], v[s_active])

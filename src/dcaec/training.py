@@ -19,8 +19,9 @@ from .dsp import synthesis as istft_graph
 from .metrics import ChunkPlan, seg_sisnr
 from .model import ModelConfig, WeightStore, batch_mask_graph
 # no caller since the network moved into model's stages; perfbench/tracing.py patches them
-from .nn import (activation, complex_conv2d, complex_deconv2d,  # noqa: F401
-                 complex_linear, deep_filter_apply, lstm_seq)
+from .nn import (complex_conv2d, complex_deconv2d, complex_linear,  # noqa: F401
+                 deep_filter_apply, lstm_seq)
+from .nn import prelu as activation  # noqa: F401
 from .nn import ft_lstm_block as _batched_ft_part  # noqa: F401
 
 # ---- objective -----------------------------------------------------------

@@ -113,21 +113,42 @@ def test_process_empty_wavs_report_no_rtf(tmp_path, desk_weights, streaming, cap
     assert rep["rtf"] is None
 
 
-def test_process_rejects_weights_with_another_activation(tmp_path, capsys):
-    """A weight file laid out for a network without PReLU (no alpha tensors)
-    and whose config names another activation is bad input."""
-    store = init_weights(ModelConfig.desk_mode(), seed=0)
+def _without_prelu(store):
+    # laid out for a network without PReLU: no alpha tensors
     for name in [k for k in store.tensors if ".alpha_" in k]:
         del store.tensors[name]
     store.meta["config"]["activation"] = "relu"
-    weights = tmp_path / "relu.bin"
+
+
+def _without_lstm_hidden(store):
+    del store.meta["config"]["lstm_hidden"]
+
+
+def _unpadded_enc1_dec1(store):
+    # another topology with the same tensor shapes; dec1 is the first dec row
+    cfg = store.meta["config"]
+    cfg["enc"][1][6] = cfg["dec"][0][6] = 0  # pad_f
+
+
+@pytest.mark.parametrize("streaming", [False, True])
+@pytest.mark.parametrize("key, edit", [("activation", _without_prelu),
+                                       ("lstm_hidden", _without_lstm_hidden),
+                                       ("enc", _unpadded_enc1_dec1)],
+                         ids=["relu", "no_lstm_hidden", "unpadded"])
+def test_process_rejects_weights_with_another_activation(tmp_path, key, edit, streaming,
+                                                         capsys):
+    """A weight file whose config is not this network's at some widths (another
+    activation, a missing key, another topology) is bad input."""
+    store = init_weights(ModelConfig.desk_mode(), seed=0)
+    edit(store)
+    weights = tmp_path / "other.bin"
     save_weights(weights, store)
     mic = _wav(tmp_path / "m.wav", np.zeros(RATE // 4))
     with pytest.raises(SystemExit) as e:
         main(["process", "--mic", str(mic), "--farend", str(mic), "--weights", str(weights),
-              "--out", str(tmp_path / "o.wav")])
+              "--out", str(tmp_path / "o.wav")] + (["--streaming"] if streaming else []))
     assert e.value.code == 2
-    assert "activation" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_process_missing_file_exit_2(tmp_path, desk_weights, capsys):

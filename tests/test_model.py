@@ -11,6 +11,7 @@ import pytest
 from dcaec import autodiff, model
 from dcaec.autodiff import no_grad
 from dcaec.dsp import RATE, AudioBuffer, ComplexSpec, StftConfig, istft, stft
+from dcaec.gradcheck import SMALL
 from dcaec.model import (MaskSpec, ModelConfig, NumericError, StreamingSession,
                          WeightError, WeightStore, apply_mask, batch_mask_graph,
                          count_params, expected_tensor_shapes, forward,
@@ -121,12 +122,28 @@ def test_expected_shapes_cover_all_tensors():
     assert set(shapes) == set(store.tensors)
 
 
-def test_config_dict_round_trip():
-    d = PAPER.to_dict()
+@pytest.mark.parametrize("cfg", [PAPER, DESK, ModelConfig.desk_mode(df_wiring="input"), SMALL],
+                         ids=["paper", "desk", "desk-input", "small"])
+def test_config_dict_round_trip(cfg):
+    d = cfg.to_dict()
     back = ModelConfig.from_dict(d)
+    assert back == cfg
     assert back.to_dict() == d
-    assert back.config_hash() == PAPER.config_hash()
-    assert PAPER.config_hash() != DESK.config_hash()
+    assert back.config_hash() == cfg.config_hash()
+
+
+def test_config_rejects_missing_and_malformed_keys():
+    d = DESK.to_dict()
+    del d["lstm_hidden"]
+    with pytest.raises(ValueError, match="lstm_hidden"):
+        ModelConfig.from_dict(d)
+    d = DESK.to_dict()
+    d["enc"][0][1] = 4.0  # a width that is not an int
+    with pytest.raises(ValueError, match="enc"):
+        ModelConfig.from_dict(d)
+    for bad in ([], None, dict(DESK.to_dict(), stft={"win_len": 320})):
+        with pytest.raises(ValueError):
+            ModelConfig.from_dict(bad)
 
 
 def test_config_rejects_other_activations():
