@@ -10,6 +10,7 @@ import ctypes
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,9 @@ def _parse_ranges_file(path):
             kw[key] = float(parts[0])
         else:
             kw[key] = tuple(float(p) for p in parts)
+    unknown = sorted(set(kw) - {f.name for f in fields(SceneRanges)})
+    if unknown:
+        raise InputError(f"{path}: unknown range keys {unknown}")
     if "delay_samples" in kw:
         kw["delay_samples"] = tuple(int(v) for v in kw["delay_samples"])
     return SceneRanges(**kw)
@@ -246,6 +250,9 @@ def cmd_gradcheck(args):
 
 
 def cmd_traintoy(args):
+    for flag in ("steps", "examples"):
+        if getattr(args, flag) < 1:
+            raise InputError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     cfg = _config_by_name(args.config, seed=args.seed)
     store = init_weights(cfg, seed=args.seed)
     corpus = synthetic_corpus(seed=args.seed,

@@ -4,7 +4,8 @@ Each check builds a scalar loss from a kernel output via a fixed random
 projection, computes reverse-mode gradients, and compares them against
 `training.finite_diff`'s central differences in float64.  The recurrent
 checks and the composed model loss run on SMALL, the paper's topology at
-toy widths, with weights named, shaped and bundled by `model` itself.  The
+toy widths, with weights named and shaped by `model` and operands built,
+as in inference and training, by `model.layer_operands`.  The
 composed loss is checked on sampled parameter entries (full differencing
 over every entry would be needlessly slow without adding coverage).
 """
@@ -14,14 +15,15 @@ import numpy as np
 from .autodiff import as_var
 from .dsp import AudioBuffer, StftConfig
 from .metrics import ChunkPlan, seg_sisnr, si_snr
-from .model import (ModelConfig, _clstm_params, _ft_params, _lstm_spec,
-                    expected_tensor_shapes, init_weights)
-from .nn import (ComplexPair, ConvSpec, complex_conv2d, complex_deconv2d,
-                 complex_lstm, deep_filter_apply, ft_lstm_block, lstm_seq, prelu)
+from .model import ModelConfig, init_weights, layer_operands
+from .nn import (ComplexPair, ConvSpec, complex_conv2d, complex_deconv2d, complex_lstm,
+                 conv_operand, deep_filter_apply, ft_lstm_block, lstm_seq, prelu)
 from .training import backward, example_loss, finite_diff, rel_error
 
 # 17 bins -> 7 at the bottleneck -> 17
 SMALL = ModelConfig(StftConfig(32, 16, 32), (2, 2), 2, 2, 1)
+# the tensors a check does not vary
+_FIXED = {k: v.astype(np.float64) for k, v in init_weights(SMALL, seed=0).tensors.items()}
 
 
 def _project(pair, r1, r2):
@@ -41,8 +43,13 @@ def _check(build_loss, arrays, h=1e-3):
 
 def _small_weights(rng, prefix):
     """0.4 N(0, 1) weights for SMALL's tensors whose names start with prefix."""
-    return {k: 0.4 * rng.normal(size=shape)
-            for k, shape in expected_tensor_shapes(SMALL).items() if k.startswith(prefix)}
+    return {k: 0.4 * rng.normal(size=v.shape)
+            for k, v in _FIXED.items() if k.startswith(prefix)}
+
+
+def _operands(p):
+    """SMALL's layer_operands, from p's tensors and _FIXED's for the rest."""
+    return layer_operands({**_FIXED, **p}, SMALL)
 
 
 def check_conv(rng, transposed=False):
@@ -60,7 +67,8 @@ def check_conv(rng, transposed=False):
     op = complex_deconv2d if transposed else complex_conv2d
 
     def loss(p):
-        out = op(ComplexPair(p["wr"], p["wi"]), ComplexPair(p["kr"], p["ki"]), spec)
+        out = op(ComplexPair(p["wr"], p["wi"]), conv_operand(p["kr"], p["ki"], transposed),
+                 spec)
         return _project(out, r1, r2)
 
     return _check(loss, arrays)
@@ -69,14 +77,15 @@ def check_conv(rng, transposed=False):
 def check_lstm(rng, bidirectional):
     """The F-LSTM (bidirectional) or the T-LSTM of SMALL's real part."""
     s, b, c, h = 4, 2, SMALL.bottleneck_ch, SMALL.lstm_hidden
-    prefix = "ft.re.f" if bidirectional else "ft.re.t"
-    arrays = _small_weights(rng, prefix)
+    arrays = _small_weights(rng, "ft.re.f" if bidirectional else "ft.re.t")
     arrays["x"] = rng.normal(size=(s, b, c))
     r = rng.normal(size=(s, b, h * (2 if bidirectional else 1)))
 
     def loss(p):
-        y, _ = lstm_seq(p["x"], _lstm_spec(p, prefix, c, h, bidirectional))
-        return (y * r).sum()
+        ft = _operands(p)["ft"]
+        # the F-stage group runs the real part's two directions first
+        y, _ = lstm_seq(p["x"], ft.f if bidirectional else ft.t[0])
+        return (y[..., :r.shape[-1]] * r).sum()
 
     return _check(loss, arrays)
 
@@ -90,7 +99,7 @@ def check_ft_lstm(rng):
     r2 = rng.normal(size=(c, f, t))
 
     def loss(p):
-        out, _ = ft_lstm_block(ComplexPair(p["hr"], p["hi"]), *_ft_params(p, SMALL))
+        out, _ = ft_lstm_block(ComplexPair(p["hr"], p["hi"]), _operands(p)["ft"])
         return _project(out, r1, r2)
 
     return _check(loss, arrays)
@@ -105,8 +114,7 @@ def check_complex_lstm(rng):
     r2 = rng.normal(size=(t, d))
 
     def loss(p):
-        layer, = _clstm_params(p, SMALL)
-        out, _ = complex_lstm(ComplexPair(p["xr"], p["xi"]), layer)
+        out, _ = complex_lstm(ComplexPair(p["xr"], p["xi"]), _operands(p)["clstm0"])
         return _project(out, r1, r2)
 
     return _check(loss, arrays)

@@ -23,8 +23,7 @@ from .dsp import (AudioBuffer, ComplexSpec, SampleRateError, StftConfig, frame_s
                   istft)
 # no caller since forward became a StreamingSession run; perfbench/tracing.py patches it
 from .dsp import stft  # noqa: F401
-from .nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
-                 LstmSpec, complex_conv2d, complex_deconv2d,
+from .nn import (ComplexPair, ConvSpec, FtLstmParams, complex_conv2d, complex_deconv2d,
                  complex_lstm, deep_filter_apply, ft_lstm_block)
 # the activation after each conv, under the name perfbench/tracing.py patches
 from .nn import prelu as activation
@@ -253,40 +252,40 @@ def validate_store(store: WeightStore, cfg: ModelConfig):
         raise WeightError(f"unexpected tensors: {sorted(extra)}")
 
 
-# ---- parameter bundling --------------------------------------------------
+# ---- kernel operands -----------------------------------------------------
 
 
-def _lstm_spec(params, prefix, input_dim, hidden, bidirectional):
-    names = ["w_ih", "w_hh", "b_ih", "b_hh"]
-    if bidirectional:
-        names += [n + "_rev" for n in list(names)]
-    weights = {n: params[f"{prefix}.{n}"] for n in names}
-    return LstmSpec(input_dim, hidden, bidirectional, weights)
+def _cell(params, name, reverse=False):
+    """The stored tensors of one LSTM recurrence, as nn.lstm_operand reads them."""
+    suf = "_rev" if reverse else ""
+    return (*(params[f"{name}.{w}{suf}"] for w in ("w_ih", "w_hh", "b_ih", "b_hh")), reverse)
 
 
-def _ft_params(params, cfg: ModelConfig):
-    """The F-T-LSTM block's (real part, imaginary part) parameters."""
-    c, h = cfg.bottleneck_ch, cfg.lstm_hidden
-    return [FtLstmParams(
-        f_spec=_lstm_spec(params, f"ft.{part}.f", c, h, True),
-        t_spec=_lstm_spec(params, f"ft.{part}.t", c, h, False),
-        proj_f_w=params[f"ft.{part}.proj_f.w"],
-        proj_f_b=params[f"ft.{part}.proj_f.b"],
-        proj_t_w=params[f"ft.{part}.proj_t.w"],
-        proj_t_b=params[f"ft.{part}.proj_t.b"],
-    ) for part in ("re", "im")]
+def layer_operands(params, cfg: ModelConfig):
+    """Every layer's kernel operands, built from the stored tensors by nn's
+    preparers: each conv layer's block weight and PReLU slopes (or None), the
+    F-T-LSTM's FtLstmParams and each cLSTM layer's (recurrences, projection).
 
-
-def _clstm_params(params, cfg: ModelConfig):
-    d, h = cfg.n_bins, cfg.clstm_hidden
-    return [ComplexLstmParams(
-        spec_r=_lstm_spec(params, f"clstm{i}.r", d, h, False),
-        spec_i=_lstm_spec(params, f"clstm{i}.i", d, h, False),
-        proj_pr=params[f"clstm{i}.proj.pr"],
-        proj_pi=params[f"clstm{i}.proj.pi"],
-        proj_br=params[f"clstm{i}.proj.br"],
-        proj_bi=params[f"clstm{i}.proj.bi"],
-    ) for i in range(cfg.clstm_layers)]
+    Inference builds them once per session, on arrays; training once per
+    step, on the parameter Vars, so that gradients reach the stored tensors.
+    """
+    p, ops = params, {}
+    convs = _conv_stack(cfg, decoder=False) + _conv_stack(cfg, decoder=True)
+    for name, spec, prelu in convs + [("df", cfg.df_spec, False)]:
+        ops[name] = (nn.conv_operand(p[f"{name}.kr"], p[f"{name}.ki"], spec.transposed),
+                     (p[f"{name}.alpha_r"], p[f"{name}.alpha_i"]) if prelu else None)
+    parts = ("ft.re", "ft.im")
+    ops["ft"] = FtLstmParams(
+        nn.lstm_operand([_cell(p, f"{q}.f", rev) for q in parts for rev in (False, True)]),
+        [nn.linear_operand(p[f"{q}.proj_f.w"], p[f"{q}.proj_f.b"]) for q in parts],
+        [nn.lstm_operand([_cell(p, f"{q}.t")]) for q in parts],
+        [nn.linear_operand(p[f"{q}.proj_t.w"], p[f"{q}.proj_t.b"]) for q in parts])
+    for i in range(cfg.clstm_layers):
+        q = f"clstm{i}"
+        proj = (p[f"{q}.proj.{w}"] for w in ("pr", "pi", "br", "bi"))
+        ops[q] = (nn.lstm_operand([_cell(p, f"{q}.{w}") for w in "rrii"]),
+                  nn.complex_linear_operand(*proj))
+    return ops
 
 
 def _finite_check(where, arrays):
@@ -321,40 +320,40 @@ def _no_note(name, pair):
     return None
 
 
-def _conv_layer(conv, w, params, name, spec, prelu):
-    w = conv(w, ComplexPair(params[f"{name}.kr"], params[f"{name}.ki"]), spec)
-    if prelu:
-        w = ComplexPair(activation(w.re, params[f"{name}.alpha_r"]),
-                        activation(w.im, params[f"{name}.alpha_i"]))
+def _conv_layer(conv, w, op, spec):
+    k, alphas = op
+    w = conv(w, k, spec)
+    if alphas:
+        w = ComplexPair(activation(w.re, alphas[0]), activation(w.im, alphas[1]))
     return w
 
 
-def encode_stage(w: ComplexPair, b, params, cfg: ModelConfig, t_states=None,
+def encode_stage(w: ComplexPair, b, ops, cfg: ModelConfig, t_states=None,
                  note=_no_note):
     """Encoder, F-T-LSTM and decoder.
 
-    w: (2, B*T, F), the stacked (mic, far-end) spectra of B sequences.
-    Returns the decoder output (1, B*T, F) and the T-LSTM states after the
-    block.  note(name, pair) sees every layer's output.
+    w: (2, B*T, F), the stacked (mic, far-end) spectra of B sequences; ops:
+    layer_operands.  Returns the decoder output (1, B*T, F) and the T-LSTM
+    states after the block.  note(name, pair) sees every layer's output.
     """
-    for name, spec, prelu in _conv_stack(cfg, decoder=False):
-        w = _conv_layer(complex_conv2d, w, params, name, spec, prelu)
+    for name, spec, _ in _conv_stack(cfg, decoder=False):
+        w = _conv_layer(complex_conv2d, w, ops[name], spec)
         note(name, w)
 
     c, n, f = w.shape
     h = ComplexPair(*(x.reshape(c, b, n // b, f).transpose(0, 3, 1, 2)
                       for x in (w.re, w.im)))  # (C, F, B, T)
-    h, t_states = ft_lstm_block(h, *_ft_params(params, cfg), t_states)
+    h, t_states = ft_lstm_block(h, ops["ft"], t_states)
     w = ComplexPair(*(x.transpose(0, 2, 3, 1).reshape(c, n, f) for x in (h.re, h.im)))
     note("ft_lstm", w)
 
-    for name, spec, prelu in _conv_stack(cfg, decoder=True):
-        w = _conv_layer(complex_deconv2d, w, params, name, spec, prelu)
+    for name, spec, _ in _conv_stack(cfg, decoder=True):
+        w = _conv_layer(complex_deconv2d, w, ops[name], spec)
         note(name, w)
     return w, t_states
 
 
-def mask_stage(dec: ComplexPair, mic: ComplexPair, b, params, cfg: ModelConfig,
+def mask_stage(dec: ComplexPair, mic: ComplexPair, b, ops, cfg: ModelConfig,
                states=None, note=_no_note):
     """Deep filter and cLSTM layers.
 
@@ -368,7 +367,7 @@ def mask_stage(dec: ComplexPair, mic: ComplexPair, b, params, cfg: ModelConfig,
         raise ValueError(f"unknown df_wiring {cfg.df_wiring!r}")
     # the context frames take the place of the time padding
     spec = replace(cfg.df_spec, pad_t=0)
-    coef = complex_conv2d(dec, ComplexPair(params["df.kr"], params["df.ki"]), spec)
+    coef = complex_conv2d(dec, ops["df"][0], spec)
     note("df_coef", coef)
     m = deep_filter_apply(coef, target)
     note("deep_filter", m)
@@ -381,8 +380,8 @@ def mask_stage(dec: ComplexPair, mic: ComplexPair, b, params, cfg: ModelConfig,
     shape = (t, f) if b == 1 else (t, b, f)
     m = ComplexPair(m.re[0, keep].reshape(shape), m.im[0, keep].reshape(shape))
     states = list(states or [None] * cfg.clstm_layers)
-    for i, layer in enumerate(_clstm_params(params, cfg)):
-        m, states[i] = complex_lstm(m, layer, states[i])
+    for i in range(cfg.clstm_layers):
+        m, states[i] = complex_lstm(m, ops[f"clstm{i}"], states[i])
         note(f"clstm{i}", m)
     return m, states
 
@@ -409,29 +408,16 @@ def batch_mask_graph(y_specs, x_specs, params, cfg: ModelConfig, note=_no_note):
     w = ComplexPair(np.stack([frames(y_specs, "re"), frames(x_specs, "re")]),
                     np.stack([frames(y_specs, "im"), frames(x_specs, "im")]))
     note("input", w)
-    dec, _ = encode_stage(w, b, params, cfg, note=note)
+    ops = layer_operands(params, cfg)
+    dec, _ = encode_stage(w, b, ops, cfg, note=note)
     mic = ComplexPair(w.re[:1], w.im[:1])
-    m, _ = mask_stage(_framed(dec, b), _framed(mic, b), b, params, cfg, note=note)
+    m, _ = mask_stage(_framed(dec, b), _framed(mic, b), b, ops, cfg, note=note)
     return m
 
 
 def params_as_vars(store: WeightStore, dtype=np.float64):
     """Tensors as Vars, for gradient work."""
     return {k: as_var(np.asarray(v, dtype=dtype)) for k, v in store.tensors.items()}
-
-
-def inference_params(store: WeightStore):
-    """Tensors as float32 arrays for inference under no_grad.
-
-    Only the recurrent weights w_hh are copied, into Fortran order, so that
-    every LSTM step multiplies by a C-order view of w_hh^T; the other gemms
-    read transposed views of the store's own arrays.
-    """
-    out = {}
-    for name, t in store.tensors.items():
-        t = np.asarray(t, dtype=np.float32)
-        out[name] = np.asfortranarray(t) if name.endswith((".w_hh", ".w_hh_rev")) else t
-    return out
 
 
 def apply_mask(y: ComplexSpec, m: MaskSpec) -> ComplexSpec:
@@ -510,7 +496,9 @@ class StreamingSession:
     def __init__(self, store: WeightStore, cfg: ModelConfig):
         validate_store(store, cfg)
         self.cfg = cfg
-        self.params = inference_params(store)
+        with no_grad():  # float32 operands, held in place of the weights
+            self.ops = layer_operands(
+                {k: np.asarray(v, dtype=np.float32) for k, v in store.tensors.items()}, cfg)
         self.hop = cfg.stft.hop
         self.win = cfg.stft.win_len
         self.pending = np.zeros((2, 0))  # (mic, far-end) samples not yet framed
@@ -543,7 +531,7 @@ class StreamingSession:
         re, im = frames.real.astype(np.float32), frames.imag.astype(np.float32)
         with no_grad():
             m, states = mask_stage(ComplexPair(re[1:], im[1:]), ComplexPair(re[:1], im[:1]),
-                                   1, self.params, self.cfg, self.clstm_states,
+                                   1, self.ops, self.cfg, self.clstm_states,
                                    note=_check_layer)
         _finite_check("in the cLSTM states", _leaves(states))
         return m.re, m.im, states
@@ -567,7 +555,7 @@ class StreamingSession:
             with no_grad():
                 dec, t_states = encode_stage(
                     ComplexPair(spec.real.astype(np.float32), spec.imag.astype(np.float32)),
-                    1, self.params, self.cfg, self.t_states, note=_check_layer)
+                    1, self.ops, self.cfg, self.t_states, note=_check_layer)
             _finite_check("in the T-LSTM states", _leaves(t_states))
             frames.append(np.stack([spec[0], dec.re[0] + 1j * dec.im[0]]))
         if last:

@@ -1,4 +1,4 @@
-"""Forward kernels for the network layers.
+"""Forward kernels for the network layers, and the operands they multiply.
 
 Complex tensors are carried as (re, im) pairs of real arrays.  A complex
 convolution with kernel K = Kr + j*Ki applied to W = Wr + j*Wi, that is
@@ -6,28 +6,30 @@ H = (Kr*Wr - Ki*Wi) + j(Kr*Wi + Ki*Wr) with * a real cross-correlation, is
 one real product: the block weight [[Kr, -Ki], [Ki, Kr]] times the im2col
 unfold (`autodiff.unfold`) of the stacked channels [Wr; Wi].  A transposed
 convolution multiplies [Wr; Wi] by its block weight first, then overlap-adds
-the taps (`autodiff.fold`).  Every kernel lifts its inputs with
-`autodiff.lift`: while gradients record they become Vars and the kernel
-returns Vars; under `no_grad` the kernel runs on plain arrays and returns
-arrays, building no graph.  One code path serves inference and training.
+the taps (`autodiff.fold`).  A complex dense layer is one real product too.
+Every kernel lifts its inputs with `autodiff.lift`: while gradients record
+they become Vars and the kernel returns Vars; under `no_grad` the kernel runs
+on plain arrays and returns arrays, building no graph.  One code path serves
+inference and training.  No kernel builds the weight it multiplies: the
+`*_operand` preparer next to it does, once (see `model.layer_operands`).
 
 Recurrences go through one kernel, `lstm_group`, which advances K independent
 LSTMs (each with its own weights and direction) over inputs of one length
-and batch, one Python step per time step for all K.  The step is
-`lstm_cell`, and the loop is the same on both paths: on arrays it runs
-alone; while gradients record it also keeps its gate activations and cell
-states, and the group becomes one graph node with a hand-written
-backpropagation through time.  The F-T block's F-stage (re/im x
+and batch, one Python step per time step for all K.  The step is one stacked
+recurrent product and `lstm_cell`, and the loop is the same on both paths:
+on arrays it runs alone; while gradients record it also keeps its gate
+activations and cell states, and the group becomes one graph node with a
+hand-written backpropagation through time.  The F-T block's F-stage (re/im x
 forward/backward) and the complex LSTM's four recurrences each run as K = 4,
-every other LSTM as K = 1 or 2.
+every other LSTM as K = 1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import (Var, concat, contiguous, fold, lift, multi_node, pad,
-                       unfold, value)
+from .autodiff import Var, concat, contiguous, fold, lift, multi_node, pad, unfold, value
 
 
 @dataclass
@@ -82,11 +84,23 @@ def _geometry(spec: ConvSpec):
             (spec.pad_t, spec.pad_f))
 
 
-def _checked(w: ComplexPair, k: ComplexPair, spec: ConvSpec):
+def conv_operand(kr, ki, transposed=False):
+    """A complex conv kernel (C_out, C_in, k_t, k_f) as its real block weight
+    [[Kr, -Ki], [Ki, Kr]], in the layout its one product reads: (2*C_out,
+    k_t*k_f*2*C_in) for complex_conv2d, (k_t*k_f*2*C_out, 2*C_in) for
+    complex_deconv2d."""
+    axes, rows = ((2, 3, 0, 1), 2) if transposed else ((0, 2, 3, 1), 0)
+    kr, ki = lift(kr).transpose(axes), lift(ki).transpose(axes)
+    k = concat([concat([kr, -ki], axis=3), concat([ki, kr], axis=3)], axis=rows)
+    return k.reshape(-1, k.shape[3]) if transposed else k.reshape(k.shape[0], -1)
+
+
+def _checked(w: ComplexPair, k, spec: ConvSpec):
     """The output's (time, frequency) extent, once w and k fit spec."""
-    expect = (spec.out_ch, spec.in_ch, spec.kernel_t, spec.kernel_f)
+    taps, c_in, c_out = spec.kernel_t * spec.kernel_f, 2 * spec.in_ch, 2 * spec.out_ch
+    expect = (taps * c_out, c_in) if spec.transposed else (c_out, taps * c_in)
     if tuple(k.shape) != expect:
-        raise ValueError(f"kernel shape {k.shape} != {expect}")
+        raise ValueError(f"block weight shape {k.shape} != {expect}")
     if w.shape[0] != spec.in_ch:
         raise ValueError("input channel mismatch")
     t_out, f_out = spec.t_out(w.shape[1]), spec.f_out(w.shape[2])
@@ -95,70 +109,48 @@ def _checked(w: ComplexPair, k: ComplexPair, spec: ConvSpec):
     return t_out, f_out
 
 
-def _block(k: ComplexPair, axes, rows):
-    """The real block weight [[Kr, -Ki], [Ki, Kr]]: k's parts transposed by
-    axes to end in input channels, the output halves stacked on axis rows."""
-    kr, ki = k.re.transpose(axes), k.im.transpose(axes)
-    return concat([concat([kr, -ki], axis=3), concat([ki, kr], axis=3)], axis=rows)
-
-
-def complex_conv2d(w: ComplexPair, k: ComplexPair, spec: ConvSpec) -> ComplexPair:
+def complex_conv2d(w: ComplexPair, k, spec: ConvSpec) -> ComplexPair:
     """Complex 2-D cross-correlation over (time, frequency): one product of
-    the block weight (2*C_out, k_t*k_f*2*C_in) with the unfolded [re; im]."""
+    the block weight k (conv_operand) with the unfolded [re; im]."""
     if spec.transposed:
         raise ValueError("spec marked transposed; use complex_deconv2d")
     t_out, f_out = _checked(w, k, spec)
     cols = unfold(concat([w.re, w.im], axis=0), *_geometry(spec))
-    y = _block(k, (0, 2, 3, 1), 0).reshape(2 * spec.out_ch, -1) @ cols
-    y = y.reshape(2 * spec.out_ch, t_out, f_out)
+    y = (lift(k) @ cols).reshape(2 * spec.out_ch, t_out, f_out)
     return ComplexPair(y[:spec.out_ch], y[spec.out_ch:])
 
 
-def complex_deconv2d(w: ComplexPair, k: ComplexPair, spec: ConvSpec) -> ComplexPair:
+def complex_deconv2d(w: ComplexPair, k, spec: ConvSpec) -> ComplexPair:
     """Complex transposed convolution (adjoint of complex_conv2d): the block
-    weight (k_t*k_f*2*C_out, 2*C_in) times [re; im], then fold's overlap-add."""
+    weight k (conv_operand) times [re; im], then fold's overlap-add."""
     if not spec.transposed:
         raise ValueError("spec not marked transposed")
     t_out, f_out = _checked(w, k, spec)
     x = concat([w.re, w.im], axis=0)
-    cols = _block(k, (2, 3, 0, 1), 2).reshape(-1, x.shape[0]) @ x.reshape(x.shape[0], -1)
+    cols = lift(k) @ x.reshape(x.shape[0], -1)
     y = fold(cols, *_geometry(spec), (t_out, f_out))
     return ComplexPair(y[:spec.out_ch], y[spec.out_ch:])
 
 
-@dataclass
-class LstmSpec:
-    """LSTM dimensions plus gate weights, gate order (input, forget, cell, output).
+class LstmGroup(NamedTuple):
+    """K LSTM recurrences in the layout lstm_group reads (see lstm_operand)."""
 
-    weights maps: w_ih (4H, I), w_hh (4H, H), b_ih (4H,), b_hh (4H,) and, when
-    bidirectional, the same names with a "_rev" suffix.
-    """
-
-    input_dim: int
-    hidden_dim: int
-    bidirectional: bool = False
-    weights: dict = field(default_factory=dict)
-
-    @property
-    def out_dim(self):
-        return self.hidden_dim * (2 if self.bidirectional else 1)
+    w_ih: list      # per recurrence, w_ih^T (I, 4H)
+    w_hh: object    # (K, H, 4H): every w_hh^T, stacked in C order
+    b: object       # (K, 4H): every b_ih + b_hh
+    reverse: tuple  # per recurrence, whether it scans from the end
 
 
-def _wt(w):
-    """w (O, I) transposed for x @ w^T.  On an array it is a view, which BLAS
-    reads in either order; a Var keeps the C-order copy node it has always
-    had, so that training graphs do not change."""
-    wt = w.transpose(1, 0)
-    return contiguous(wt) if isinstance(wt, Var) else wt
-
-
-def _cells(spec: LstmSpec):
-    """The spec's recurrences as (w_ih, w_hh, b_ih, b_hh, reverse) tuples:
-    the forward direction, then the backward one when bidirectional."""
-    w = spec.weights
-    sufs = ("", "_rev") if spec.bidirectional else ("",)
-    return [(w["w_ih" + s], w["w_hh" + s], w["b_ih" + s], w["b_hh" + s], s == "_rev")
-            for s in sufs]
+def lstm_operand(cells):
+    """cells: K (w_ih (4H, I), w_hh (4H, H), b_ih (4H,), b_hh (4H,), reverse)
+    in the stored layout, gate order (input, forget, cell, output)."""
+    w_ih, w_hh, b_ih, b_hh, reverse = zip(*cells)
+    k, hd = len(cells), w_hh[0].shape[1]
+    # C order: a strided w_hh^T about doubled the paper F-stage's time
+    w_hh = concat([contiguous(lift(w).transpose(1, 0)) for w in w_hh]).reshape(k, hd, 4 * hd)
+    return LstmGroup([lift(w).transpose(1, 0) for w in w_ih], w_hh,
+                     concat([lift(x) + lift(y) for x, y in zip(b_ih, b_hh)]).reshape(k, 4 * hd),
+                     reverse)
 
 
 def lstm_cell(g, c_prev, c, a, tc, tmp, h):
@@ -182,37 +174,33 @@ def lstm_cell(g, c_prev, c, a, tc, tmp, h):
     return np.multiply(a[..., 3 * hd:], tmp, out=h)
 
 
-def lstm_group(xs, cells, states, hd):
-    """Advance K independent LSTMs of one length S, batch N and hidden size hd.
+def lstm_group(xs, op: LstmGroup, states):
+    """Advance K independent LSTMs of one length S and batch N.
 
-    xs: K inputs (S, N, I); cells: K (w_ih, w_hh, b_ih, b_hh, reverse)
-    tuples (see _cells); states: K (h, c) pairs shaped (N, H), or None for
-    zeros.  Returns the K outputs (S, N, H), each in its input's time order,
-    and the K final (h, c) states.
+    xs: K inputs (S, N, I); op: the K recurrences (lstm_operand); states: K
+    (h, c) pairs shaped (N, H), or None for zeros.  Returns the K outputs
+    (S, N, H), each in its input's time order, and the K final (h, c) states.
 
     One loop serves inference and training: one Python step per time step
-    for all K, a call of lstm_cell, in buffers allocated once per call.  On
-    arrays the loop runs alone.  While gradients record it also keeps every
-    step's gate activations and cell state, and the group becomes one graph
-    node whose backward is _lstm_bptt.  A w_hh in Fortran order (see
-    model.inference_params) makes the per-step recurrent operand a C-order
-    view that is never copied.
+    for all K, one stacked recurrent product and a call of lstm_cell, in
+    buffers allocated once per call.  On arrays the loop runs alone.  While
+    gradients record it also keeps every step's gate activations and cell
+    state, and the group becomes one graph node whose backward is _lstm_bptt.
     """
     xs = [lift(x) for x in xs]
     record = isinstance(xs[0], Var)
     k, (s, n, _) = len(xs), xs[0].shape
-    xd = [value(x) for x in xs]
-    ws = [[value(w) for w in cell[:4]] for cell in cells]
-    rev = [cell[4] for cell in cells]
-    dt = np.result_type(*xd, *(w for cw in ws for w in cw))
+    xd, w_ih = [value(x) for x in xs], [value(w) for w in op.w_ih]
+    w_hh, b, rev = value(op.w_hh), value(op.b), op.reverse
+    hd = w_hh.shape[1]
+    dt = np.result_type(*xd, *w_ih, w_hh, b)
     # input projections, written in place, the reverse cells' scanned from
     # the end, so that step t adds the recurrent products to gx[:, t]
     gx = np.empty((k, s, n, 4 * hd), dt)
-    for j, (x, (w_ih, _, b_ih, b_hh)) in enumerate(zip(xd, ws)):
+    for j, (x, w) in enumerate(zip(xd, w_ih)):
         x = x[::-1] if rev[j] else x
-        np.matmul(x.reshape(s * n, -1), _wt(w_ih), out=gx[j].reshape(s * n, 4 * hd))
-        gx[j] += b_ih + b_hh
-    whh_t = [contiguous(_wt(cw[1])) for cw in ws]
+        np.matmul(x.reshape(s * n, -1), w, out=gx[j].reshape(s * n, 4 * hd))
+        gx[j] += b[j]
     hs = np.empty((k, s + 1, n, hd), dt)   # h_0 .. h_S
     hs[:, 0] = 0.0
     c = np.zeros((k, n, hd), dt)
@@ -227,10 +215,8 @@ def lstm_group(xs, cells, states, hd):
         cs[:, 0] = c
     hw = np.empty((k, n, 4 * hd), dt)   # recurrent products
     for t in range(s):
-        for j in range(k):
-            np.matmul(hs[j, t], whh_t[j], out=hw[j])
         g = gx[:, t]
-        g += hw
+        g += np.matmul(hs[:, t], w_hh, out=hw)
         if record:
             a = acts[:, t]
             lstm_cell(g, cs[:, t], cs[:, t + 1], a, a[..., 2 * hd:3 * hd], tmp, hs[:, t + 1])
@@ -239,22 +225,22 @@ def lstm_group(xs, cells, states, hd):
     ys = [hs[j, :0:-1] if rev[j] else hs[j, 1:] for j in range(k)]
     if not record:
         return ys, [(hs[j, s].copy(), c[j].copy()) for j in range(k)]
-    inputs = []
-    for x, cell, st in zip(xs, cells, states):
-        inputs += [x, *cell[:4], *(st or (None, None))]
+    inputs = xs + list(op.w_ih) + [op.w_hh, op.b]
+    for st in states:
+        inputs += st or (None, None)
     outs = multi_node(ys + list(cs[:, s]), inputs,
-                      lambda gs: _lstm_bptt(gs, xd, ws, rev, acts, cs, hs))
+                      lambda gs: _lstm_bptt(gs, xd, w_ih, w_hh, rev, acts, cs, hs))
     # a final h is its output's last step in scan order
     return outs[:k], [(y[0] if r else y[-1], c) for y, r, c in zip(outs, rev, outs[k:])]
 
 
-def _lstm_bptt(gs, xd, ws, rev, acts, cs, hs):
+def _lstm_bptt(gs, xd, w_ih, w_hh, rev, acts, cs, hs):
     """lstm_group's backward.  gs: the gradients of its outputs, the K y
-    and then the K final c (None where none arrived).  Returns, per
-    recurrence, those of x, w_ih, w_hh, b_ih, b_hh, h_0 and c_0.
+    and then the K final c (None where none arrived).  Returns those of its
+    inputs: the K x, the K w_ih^T, w_hh, b and each recurrence's h_0 and c_0.
 
-    The K recurrences step back through time together; then each weight
-    gradient and dx is one gemm per recurrence, each bias gradient one sum.
+    The K recurrences step back through time together, one stacked product
+    per step; then each dx and w_ih^T gradient is one gemm per recurrence.
     """
     k, s, n, h4 = acts.shape
     hd = h4 // 4
@@ -268,6 +254,7 @@ def _lstm_bptt(gs, xd, ws, rev, acts, cs, hs):
     tc = np.tanh(cs[:, 1:])
     dg = np.empty_like(acts)
     dh = np.zeros((k, n, hd), acts.dtype)   # dL/dh_t through step t + 1
+    w_hh_t = np.ascontiguousarray(w_hh.transpose(0, 2, 1))   # (K, 4H, H)
     for t in range(s - 1, -1, -1):
         a, th, d = acts[:, t], tc[:, t], dg[:, t]
         gi, gf, gc, go = (a[..., i * hd:(i + 1) * hd] for i in range(4))
@@ -281,75 +268,79 @@ def _lstm_bptt(gs, xd, ws, rev, acts, cs, hs):
         np.multiply(dc, gi, out=d[..., 2 * hd:3 * hd])
         d *= slope
         dc *= gf
-        for j in range(k):
-            np.matmul(d[j], ws[j][1], out=dh[j])
-    grads = []
-    for j in range(k):
-        d_scan = dg[j].reshape(s * n, h4)
-        d_x = (dg[j, ::-1] if rev[j] else dg[j]).reshape(s * n, h4)
-        db = d_scan.sum(axis=0)
-        grads += [(d_x @ ws[j][0]).reshape(s, n, -1),
-                  d_x.T @ xd[j].reshape(s * n, -1),
-                  d_scan.T @ hs[j, :s].reshape(s * n, hd),
-                  db, db.copy(), dh[j].copy(), dc[j].copy()]
-    return grads
+        np.matmul(d, w_hh_t, out=dh)
+    d_scan = dg.reshape(k, s * n, h4)
+    d_xs = [(dg[j, ::-1] if rev[j] else dg[j]).reshape(s * n, h4) for j in range(k)]
+    return ([(d_x @ w.T).reshape(s, n, -1) for d_x, w in zip(d_xs, w_ih)]
+            + [x.reshape(s * n, -1).T @ d_x for x, d_x in zip(xd, d_xs)]
+            + [hs[:, :s].reshape(k, s * n, hd).transpose(0, 2, 1) @ d_scan,
+               d_scan.sum(axis=1)]
+            + [g[j].copy() for j in range(k) for g in (dh, dc)])
 
 
-def lstm_seq(x, spec: LstmSpec, state=None):
-    """Batched LSTM over x (S, B, I).
-
-    Unidirectional: returns (y (S, B, H), (h, c)).  Bidirectional: full
-    sequence only, returns (y (S, B, 2H), None); `state` must be None.
+def lstm_seq(x, op: LstmGroup, state=None):
+    """Every recurrence of op over x (S, B, I): one (a unidirectional LSTM)
+    returns (y (S, B, H), (h, c)); several (a bidirectional LSTM) run the
+    full sequence only and return (y (S, B, K*H), None), with state None.
     """
-    if spec.bidirectional and state is not None:
+    k = len(op.reverse)
+    if k > 1 and state is not None:
         raise ValueError("bidirectional LSTM has no streaming state")
-    cells = _cells(spec)
-    ys, states = lstm_group([x] * len(cells), cells, [state] * len(cells),
-                            spec.hidden_dim)
-    if spec.bidirectional:
+    ys, states = lstm_group([x] * k, op, [state] * k)
+    if k > 1:
         return concat(ys, axis=2), None
     return ys[0], states[0]
 
 
-def linear(x, w, b):
-    """x (..., I) @ w.T + b with w (O, I)."""
-    x, w = lift(x), lift(w)
-    y = x.reshape(-1, x.shape[-1]) @ _wt(w) + lift(b)
-    return y.reshape(*x.shape[:-1], w.shape[0])
+def linear_operand(w, b):
+    """A dense layer's stored (w (O, I), b) as linear's (w^T, b)."""
+    return lift(w).transpose(1, 0), lift(b)
 
 
-def complex_linear(pair: ComplexPair, pr, pi, br, bi) -> ComplexPair:
-    """Complex dense layer: (re + j im) @ (Pr + j Pi)^T + (br + j bi)."""
-    re = linear(pair.re, pr, br) - linear(pair.im, pi, np.zeros_like(value(bi)))
-    im = linear(pair.im, pr, bi) + linear(pair.re, pi, np.zeros_like(value(br)))
-    return ComplexPair(re, im)
+def linear(x, w_t, b):
+    """x (..., I) @ w_t + b with w_t (I, O) (linear_operand)."""
+    x = lift(x)
+    y = x.reshape(-1, x.shape[-1]) @ lift(w_t) + lift(b)
+    return y.reshape(*x.shape[:-1], w_t.shape[1])
 
 
-@dataclass
-class FtLstmParams:
-    """Per-part (real or imaginary) parameters of the F-T-LSTM block."""
-
-    f_spec: LstmSpec   # bidirectional, scans frequency
-    t_spec: LstmSpec   # unidirectional, scans time
-    proj_f_w: object   # (C, 2H)
-    proj_f_b: object   # (C,)
-    proj_t_w: object   # (C, H)
-    proj_t_b: object   # (C,)
+def complex_linear_operand(pr, pi, br, bi):
+    """A complex dense layer's stored (Pr, Pi (D, H), br, bi (D,)) as
+    complex_linear's block weight [[Pr^T, Pi^T], [-Pi^T, Pr^T]] (2H, 2D) and
+    bias [br; bi]."""
+    pr, pi = lift(pr).transpose(1, 0), lift(pi).transpose(1, 0)
+    return (concat([concat([pr, pi], axis=1), concat([-pi, pr], axis=1)]),
+            concat([lift(br), lift(bi)]))
 
 
-def _f_stage(xf, parts):
+def complex_linear(pair: ComplexPair, w, b) -> ComplexPair:
+    """Complex dense layer (re + j im) @ (Pr + j Pi)^T + (br + j bi) as one
+    real product: [re, im] @ w + b, with (w, b) from complex_linear_operand."""
+    y = linear(concat([pair.re, pair.im], axis=-1), w, b)
+    d = y.shape[-1] // 2
+    return ComplexPair(y[..., :d], y[..., d:])
+
+
+class FtLstmParams(NamedTuple):
+    """The F-T-LSTM block's operands: the F-stage's four recurrences (re/im
+    x forward/backward) as one group, then per part (re, im) the rest."""
+
+    f: LstmGroup
+    proj_f: tuple   # per part, linear_operand of (C, 2H) and (C,)
+    t: tuple        # per part, an LstmGroup of one recurrence
+    proj_t: tuple   # per part, linear_operand of (C, H) and (C,)
+
+
+def _f_stage(xf, p: FtLstmParams):
     """Both parts' F-stage: xf (F, N, C) per part -> u (F, N, C) per part.
 
     The four recurrences (re/im x forward/backward) step together."""
-    cells = [cell for p in parts for cell in _cells(p.f_spec)]
-    ys, _ = lstm_group([x for x in xf for _ in (0, 1)], cells, [None] * 4,
-                       parts[0].f_spec.hidden_dim)
-    return [linear(concat(ys[2 * j:2 * j + 2], axis=2), p.proj_f_w, p.proj_f_b)
-            for j, p in enumerate(parts)]
+    ys, _ = lstm_group([x for x in xf for _ in (0, 1)], p.f, [None] * 4)
+    return [linear(concat(ys[2 * j:2 * j + 2], axis=2), *proj)
+            for j, proj in enumerate(p.proj_f)]
 
 
-def ft_lstm_block(h: ComplexPair, params_re: FtLstmParams, params_im: FtLstmParams,
-                  t_states=None):
+def ft_lstm_block(h: ComplexPair, p: FtLstmParams, t_states=None):
     """Frequency-then-time recurrence with residual adds, separate per part.
 
     h: (C, F, T) for one sequence or (C, F, B, T) for B sequences; the output
@@ -358,13 +349,12 @@ def ft_lstm_block(h: ComplexPair, params_re: FtLstmParams, params_im: FtLstmPara
     """
     shape = h.shape
     c, f, t = shape[0], shape[1], shape[-1]
-    parts = (params_re, params_im)
     xs = [lift(x).reshape(c, f, -1, t) for x in (h.re, h.im)]   # (C, F, B, T)
     b = xs[0].shape[2]
     # F-stage: bidirectional along frequency, each frame independent.
     xf = [x.transpose(1, 2, 3, 0).reshape(f, b * t, c) for x in xs]  # seq F, batch B*T
     if isinstance(xf[0], Var):  # training: one graph over all frames
-        u = _f_stage(xf, parts)
+        u = _f_stage(xf, p)
     else:
         # up to four slices of frames, each projected before the next, keep
         # the four recurrences' gate buffers at one recurrence's size.  A
@@ -373,48 +363,39 @@ def ft_lstm_block(h: ComplexPair, params_re: FtLstmParams, params_im: FtLstmPara
         n = b * t
         k = max(1, min(4, n // 2))
         edges = [n * i // k for i in range(k + 1)]
-        pieces = [_f_stage([x[:, lo:hi] for x in xf], parts)
+        pieces = [_f_stage([x[:, lo:hi] for x in xf], p)
                   for lo, hi in zip(edges, edges[1:])]
         u = [np.concatenate(ps, axis=1) for ps in zip(*pieces)]
     outs, states = [], []
-    for x, uj, p, st in zip(xs, u, parts, t_states or (None, None)):
+    for x, uj, t_op, proj, st in zip(xs, u, p.t, p.proj_t, t_states or (None, None)):
         v = x + uj.reshape(f, b, t, c).transpose(3, 0, 1, 2)  # residual, (C, F, B, T)
         # T-stage: unidirectional along time, each sequence and frequency independent.
         vt = v.transpose(3, 2, 1, 0).reshape(t, b * f, c)    # seq T, batch B*F
-        z, st = lstm_seq(vt, p.t_spec, st)                   # (T, B*F, H)
-        z = linear(z, p.proj_t_w, p.proj_t_b)                # (T, B*F, C)
+        z, st = lstm_seq(vt, t_op, st)                       # (T, B*F, H)
+        z = linear(z, *proj)                                 # (T, B*F, C)
         outs.append((v + z.reshape(t, b, f, c).transpose(3, 2, 1, 0)).reshape(shape))
         states.append(st)
     return ComplexPair(*outs), tuple(states)
 
 
-@dataclass
-class ComplexLstmParams:
-    spec_r: LstmSpec
-    spec_i: LstmSpec
-    proj_pr: object  # (D, H)
-    proj_pi: object
-    proj_br: object  # (D,)
-    proj_bi: object
-
-
-def complex_lstm(x: ComplexPair, p: ComplexLstmParams, states=None):
+def complex_lstm(x: ComplexPair, p, states=None):
     """One complex LSTM layer over x (T, D), or (T, B, D) for B sequences,
     with complex dense projection.
 
-    out_re = L_r(re) - L_i(im); out_im = L_r(im) + L_i(re).  states is a
-    4-tuple of (h, c) pairs: (r on re, r on im, i on re, i on im).
+    out_re = L_r(re) - L_i(im); out_im = L_r(im) + L_i(re).  p: the layer's
+    recurrences L_r, L_r, L_i, L_i as one lstm_operand, and its
+    complex_linear_operand.  states is a 4-tuple of (h, c) pairs: (r on re,
+    r on im, i on re, i on im).
     """
     s = states if states is not None else (None, None, None, None)
     lead = x.shape[:-1]
     xr = x.re.reshape(lead[0], -1, x.shape[-1])
     xi = x.im.reshape(lead[0], -1, x.shape[-1])
-    h = p.spec_r.hidden_dim
-    (rr, ri, ir, ii), states = lstm_group(
-        [xr, xi, xr, xi], _cells(p.spec_r) * 2 + _cells(p.spec_i) * 2, s, h)
+    lstm, proj = p
+    (rr, ri, ir, ii), states = lstm_group([xr, xi, xr, xi], lstm, s)
+    h = rr.shape[-1]
     pair = ComplexPair((rr - ii).reshape(*lead, h), (ri + ir).reshape(*lead, h))
-    out = complex_linear(pair, p.proj_pr, p.proj_pi, p.proj_br, p.proj_bi)
-    return out, tuple(states)
+    return complex_linear(pair, *proj), tuple(states)
 
 
 def deep_filter_apply(coef: ComplexPair, target: ComplexPair) -> ComplexPair:

@@ -18,17 +18,16 @@ from dcaec.metrics import ChunkPlan, erle, seg_sisnr, si_snr
 from dcaec.model import (ModelConfig, StreamingSession, apply_mask,
                          batch_mask_graph, count_params, forward, ideal_crm,
                          init_weights, params_as_vars)
-from dcaec.nn import (ComplexLstmParams, ComplexPair, ConvSpec, LstmSpec,
-                      complex_conv2d, complex_deconv2d, complex_linear,
-                      complex_lstm, deep_filter_apply, ft_lstm_block)
+from dcaec.nn import (ComplexPair, ConvSpec, complex_conv2d, complex_deconv2d,
+                      complex_lstm, conv_operand, deep_filter_apply, ft_lstm_block)
 from dcaec.scene import (RoomSpec, SceneRanges, generate_rir,
                          make_training_examples, sample_recipe,
                          schroeder_rt60, synthesize, synthetic_corpus)
 from dcaec.training import toy_train
 
-from test_nn import (FtLstmParams, complex_conv_oracle, conv2d_loops,
-                     deep_filter_loops, lstm_forward, lstm_loops,
-                     rand_lstm_spec)
+from test_nn import (FtLstmWeights, clstm_operand, complex_conv_oracle,
+                     conv2d_loops, deep_filter_loops, ft_operand, lstm_forward,
+                     lstm_loops, rand_lstm_spec)
 
 PAPER = ModelConfig.paper_mode()
 DESK = ModelConfig.desk_mode()
@@ -105,7 +104,7 @@ def test_03_kernel_oracles():
         t_in = int(rng.integers(kt, kt + 3))
         wr, wi = rng.normal(size=(2, ci, t_in, f_in))
         kr, ki = rng.normal(size=(2, co, ci, kt, kf))
-        out = complex_conv2d(ComplexPair(wr, wi), ComplexPair(kr, ki), spec)
+        out = complex_conv2d(ComplexPair(wr, wi), conv_operand(kr, ki), spec)
         re_ref, im_ref = complex_conv_oracle((wr, wi), (kr, ki), spec)
         track("conv", out.re.data, re_ref)
         track("conv", out.im.data, im_ref)
@@ -128,7 +127,7 @@ def test_03_kernel_oracles():
                                 kd[c_out, c_in, 0, df] * x[c_in, tt, ff])
         ref = ref[:, :, pf:full_f - pf]
         outd = complex_deconv2d(ComplexPair(x, np.zeros_like(x)),
-                                ComplexPair(kd, np.zeros_like(kd)), dspec)
+                                conv_operand(kd, np.zeros_like(kd), transposed=True), dspec)
         track("deconv", outd.re.data, ref)
 
         # deep filter vs triple loops
@@ -158,7 +157,7 @@ def test_03_kernel_oracles():
         br, bi = 0.4 * rng.normal(size=(2, d_c))
         xr, xi = rng.normal(size=(2, 4, d_c))
         cl_out, _ = complex_lstm(ComplexPair(xr, xi),
-                                 ComplexLstmParams(sr, si_, pr, pi, br, bi))
+                                 clstm_operand(sr, si_, pr, pi, br, bi))
 
         def run(sp, inp):
             w = sp.weights
@@ -177,7 +176,7 @@ def test_03_kernel_oracles():
         f_ft, t_ft = int(rng.integers(2, 4)), int(rng.integers(2, 4))
 
         def ft_params():
-            return FtLstmParams(
+            return FtLstmWeights(
                 f_spec=rand_lstm_spec(rng, c_ft, h_ft, True),
                 t_spec=rand_lstm_spec(rng, c_ft, h_ft, False),
                 proj_f_w=0.4 * rng.normal(size=(c_ft, 2 * h_ft)),
@@ -187,7 +186,7 @@ def test_03_kernel_oracles():
 
         p_re, p_im = ft_params(), ft_params()
         hx = rng.normal(size=(2, c_ft, f_ft, t_ft))
-        ft_out, _ = ft_lstm_block(ComplexPair(hx[0], hx[1]), p_re, p_im)
+        ft_out, _ = ft_lstm_block(ComplexPair(hx[0], hx[1]), ft_operand(p_re, p_im))
 
         def ft_oracle(xp, p):
             w = p.f_spec.weights

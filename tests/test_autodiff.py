@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dcaec.autodiff import (Var, as_var, concat, dot, fold, log10, no_grad, pad,
                              unfold)
-from dcaec.nn import lstm_cell, lstm_group
+from dcaec.nn import lstm_cell, lstm_group, lstm_operand
 from dcaec.training import backward, finite_diff, rel_error
 
 
@@ -268,7 +268,8 @@ def test_lstm_group_gradients_match_per_step_graph(case):
         return total
 
     def fused(p):
-        ys, finals = lstm_group(*group_args(p), hd)
+        xs, cells, states = group_args(p)
+        ys, finals = lstm_group(xs, lstm_operand(cells), states)
         assert all(isinstance(v, Var) for v in ys + [v for st in finals for v in st])
         return loss([[y[t] for t in range(s)] for y in ys], finals)
 

@@ -237,6 +237,24 @@ def test_simulate_ranges_file(tmp_path, capsys):
         assert not rec["farend_zeroed"]
 
 
+def test_simulate_ranges_file_unknown_key_exit_2(tmp_path, capsys):
+    ranges = tmp_path / "ranges.txt"
+    ranges.write_text("ser_dbx = -5, 5\n")
+    with pytest.raises(SystemExit) as e:
+        main(["simulate", "--recipes", "1", "--rirs", "2", "--clip-seconds", "1.0",
+              "--ranges", str(ranges), "--outdir", str(tmp_path / "sim")])
+    assert e.value.code == 2
+    assert "ser_dbx" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--examples"])
+def test_traintoy_rejects_counts_below_one(flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["traintoy", "--config", "desk", "--chunk-seconds", "0.25", flag, "0"])
+    assert e.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_traintoy_smoke(tmp_path, capsys):
     out = tmp_path / "trained.bin"
     main(["traintoy", "--steps", "2", "--examples", "1",

@@ -1,5 +1,6 @@
 """Model assembly: shapes, parameter counts, masking, streaming equivalence."""
 
+import collections
 import gc
 import itertools
 import time
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dcaec import autodiff, model
+from dcaec import autodiff, model, nn
 from dcaec.autodiff import no_grad
 from dcaec.dsp import RATE, AudioBuffer, ComplexSpec, StftConfig, istft, stft
 from dcaec.gradcheck import SMALL
@@ -380,6 +381,31 @@ def test_inference_builds_no_vars(monkeypatch):
         sess.feed(y.samples[i:i + hop], x.samples[i:i + hop])
     sess.flush()
     assert not made
+
+
+def test_operands_are_built_once_per_session(monkeypatch):
+    built = collections.Counter()
+    for name in ("conv_operand", "linear_operand", "complex_linear_operand", "lstm_operand"):
+        def counting(*args, _name=name, _orig=getattr(nn, name)):
+            built[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(nn, name, counting)
+    # five convs; the F-T block's F group, two T-LSTMs and two projections
+    # per part; one recurrence group and one projection per cLSTM layer
+    once = {"conv_operand": 5, "linear_operand": 4,
+            "complex_linear_operand": DESK.clstm_layers, "lstm_operand": 3 + DESK.clstm_layers}
+    store = init_weights(DESK, seed=0)
+    y, x = _signals(seconds=0.2, seed=13)
+    sess = StreamingSession(store, DESK)
+    hop = DESK.stft.hop
+    for i in range(0, 10 * hop, hop):
+        sess.feed(y.samples[i:i + hop], x.samples[i:i + hop])
+    sess.flush()
+    assert built == once
+    built.clear()
+    forward(y, x, store, DESK)
+    assert built == once
 
 
 @pytest.mark.parametrize("wiring", ["decoder", "input"])

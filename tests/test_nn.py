@@ -1,13 +1,16 @@
 """Network kernels against brute-force loop oracles and algebraic identities."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from dcaec.autodiff import as_var, lift, no_grad
-from dcaec.nn import (ComplexLstmParams, ComplexPair, ConvSpec, FtLstmParams,
-                      LstmSpec, complex_conv2d, complex_deconv2d,
-                      complex_linear, complex_lstm, deep_filter_apply,
-                      ft_lstm_block, linear, lstm_seq, prelu)
+from dcaec.nn import (ComplexPair, ConvSpec, FtLstmParams,
+                      complex_conv2d, complex_deconv2d, complex_linear,
+                      complex_linear_operand, complex_lstm, conv_operand,
+                      deep_filter_apply, ft_lstm_block, linear, linear_operand,
+                      lstm_operand, lstm_seq, prelu)
 
 
 # ---- oracles -------------------------------------------------------------
@@ -59,6 +62,59 @@ def lstm_loops(x, w_ih, w_hh, b_ih, b_hh, h0=None, c0=None):
     return ys, h, c
 
 
+@dataclass
+class LstmSpec:
+    """An LSTM's stored weights, gate order (input, forget, cell, output):
+    w_ih (4H, I), w_hh (4H, H), b_ih (4H,), b_hh (4H,) and, when
+    bidirectional, the same names with a "_rev" suffix."""
+
+    input_dim: int
+    hidden_dim: int
+    bidirectional: bool = False
+    weights: dict = field(default_factory=dict)
+
+    @property
+    def out_dim(self):
+        return self.hidden_dim * (2 if self.bidirectional else 1)
+
+    def cells(self):
+        """The recurrences as nn.lstm_operand reads them: forward, then
+        backward when bidirectional."""
+        w = self.weights
+        return [(w["w_ih" + s], w["w_hh" + s], w["b_ih" + s], w["b_hh" + s], s == "_rev")
+                for s in (("", "_rev") if self.bidirectional else ("",))]
+
+    def operand(self):
+        return lstm_operand(self.cells())
+
+
+@dataclass
+class FtLstmWeights:
+    """One part's (real or imaginary) stored F-T-LSTM weights."""
+
+    f_spec: LstmSpec   # bidirectional, scans frequency
+    t_spec: LstmSpec   # unidirectional, scans time
+    proj_f_w: object   # (C, 2H)
+    proj_f_b: object   # (C,)
+    proj_t_w: object   # (C, H)
+    proj_t_b: object   # (C,)
+
+
+def ft_operand(p_re: FtLstmWeights, p_im: FtLstmWeights) -> FtLstmParams:
+    """The F-T-LSTM block's operands from both parts' stored weights."""
+    parts = (p_re, p_im)
+    return FtLstmParams(lstm_operand([c for p in parts for c in p.f_spec.cells()]),
+                        [linear_operand(p.proj_f_w, p.proj_f_b) for p in parts],
+                        [p.t_spec.operand() for p in parts],
+                        [linear_operand(p.proj_t_w, p.proj_t_b) for p in parts])
+
+
+def clstm_operand(spec_r: LstmSpec, spec_i: LstmSpec, pr, pi, br, bi):
+    """A complex LSTM layer's operands from its stored weights."""
+    return (lstm_operand(spec_r.cells() * 2 + spec_i.cells() * 2),
+            complex_linear_operand(pr, pi, br, bi))
+
+
 def rand_lstm_spec(rng, i, hd, bidirectional=False):
     names = ["w_ih", "w_hh", "b_ih", "b_hh"]
     if bidirectional:
@@ -78,7 +134,7 @@ def lstm_forward(x, spec: LstmSpec, state=None):
         raise ValueError(f"input dim {i} != {spec.input_dim}")
     if state is not None:
         state = (lift(state[0]).reshape(1, -1), lift(state[1]).reshape(1, -1))
-    y, st = lstm_seq(xv.reshape(s, 1, i), spec, state)
+    y, st = lstm_seq(xv.reshape(s, 1, i), spec.operand(), state)
     y = y.reshape(s, spec.out_dim)
     if st is not None:
         st = (st[0].reshape(spec.hidden_dim), st[1].reshape(spec.hidden_dim))
@@ -93,7 +149,7 @@ def test_identity_kernel():
     w = ComplexPair(rng.normal(size=(1, 3, 8)), rng.normal(size=(1, 3, 8)))
     spec = ConvSpec(in_ch=1, out_ch=1, kernel_f=1)
     k = ComplexPair(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)))
-    out = complex_conv2d(w, k, spec)
+    out = complex_conv2d(w, conv_operand(k.re, k.im), spec)
     np.testing.assert_allclose(out.re.data, w.re.data, atol=1e-12)
     np.testing.assert_allclose(out.im.data, w.im.data, atol=1e-12)
 
@@ -103,7 +159,7 @@ def test_j_kernel_rotates():
     w = ComplexPair(rng.normal(size=(1, 3, 8)), rng.normal(size=(1, 3, 8)))
     spec = ConvSpec(in_ch=1, out_ch=1, kernel_f=1)
     k = ComplexPair(np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
-    out = complex_conv2d(w, k, spec)
+    out = complex_conv2d(w, conv_operand(k.re, k.im), spec)
     np.testing.assert_allclose(out.re.data, -w.im.data, atol=1e-12)
     np.testing.assert_allclose(out.im.data, w.re.data, atol=1e-12)
 
@@ -114,7 +170,7 @@ def test_paper_geometry_conv():
     assert spec.f_out(161) == 79
     wr, wi = rng.normal(size=(2, 2, 4, 161))
     kr, ki = 0.3 * rng.normal(size=(2, 3, 2, 1, 5))
-    out = complex_conv2d(ComplexPair(wr, wi), ComplexPair(kr, ki), spec)
+    out = complex_conv2d(ComplexPair(wr, wi), conv_operand(kr, ki), spec)
     re_ref, im_ref = complex_conv_oracle((wr, wi), (kr, ki), spec)
     assert out.shape == (3, 4, 79)
     np.testing.assert_allclose(out.re.data, re_ref, atol=1e-5)
@@ -137,7 +193,7 @@ def test_conv_random_small_shapes_vs_loops():
                         stride_f=sf, pad_f=pf, pad_t=pt)
         wr, wi = rng.normal(size=(2, c_in, t_in, f_in))
         kr, ki = rng.normal(size=(2, c_out, c_in, kt, kf))
-        out = complex_conv2d(ComplexPair(wr, wi), ComplexPair(kr, ki), spec)
+        out = complex_conv2d(ComplexPair(wr, wi), conv_operand(kr, ki), spec)
         re_ref, im_ref = complex_conv_oracle((wr, wi), (kr, ki), spec)
         np.testing.assert_allclose(out.re.data, re_ref, atol=1e-5)
         np.testing.assert_allclose(out.im.data, im_ref, atol=1e-5)
@@ -153,7 +209,7 @@ def test_deconv_identity():
     w = ComplexPair(rng.normal(size=(1, 2, 6)), rng.normal(size=(1, 2, 6)))
     spec = ConvSpec(in_ch=1, out_ch=1, kernel_f=1, transposed=True)
     k = ComplexPair(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)))
-    out = complex_deconv2d(w, k, spec)
+    out = complex_deconv2d(w, conv_operand(k.re, k.im, transposed=True), spec)
     np.testing.assert_allclose(out.re.data, w.re.data, atol=1e-12)
 
 
@@ -176,10 +232,10 @@ def test_deconv_is_adjoint_of_conv():
         x = rng.normal(size=(2, 2, f_in))
         y = rng.normal(size=(3, 2, f_out))
         cx = complex_conv2d(ComplexPair(x, np.zeros_like(x)),
-                            ComplexPair(k, np.zeros_like(k)), fwd)
+                            conv_operand(k, np.zeros_like(k)), fwd)
         kb = np.ascontiguousarray(k.swapaxes(0, 1))
         dy = complex_deconv2d(ComplexPair(y, np.zeros_like(y)),
-                              ComplexPair(kb, np.zeros_like(kb)), back)
+                              conv_operand(kb, np.zeros_like(kb), transposed=True), back)
         lhs = np.sum(cx.re.data * y)
         rhs = np.sum(x * dy.re.data)
         assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(lhs))
@@ -195,9 +251,9 @@ def test_conv_arrays_and_vars_agree_bitwise(kt, stride, pad, transposed, dtype):
     w = rng.normal(size=(2, 3, 5, 9)).astype(dtype)
     k = rng.normal(size=(2, 2, 3, kt, 3)).astype(dtype)
     op = complex_deconv2d if transposed else complex_conv2d
-    graph = op(ComplexPair(*w), ComplexPair(*k), spec)
+    graph = op(ComplexPair(*w), conv_operand(*k, transposed), spec)
     with no_grad():
-        arrays = op(ComplexPair(*w), ComplexPair(*k), spec)
+        arrays = op(ComplexPair(*w), conv_operand(*k, transposed), spec)
     assert isinstance(arrays.re, np.ndarray) and arrays.re.dtype == dtype
     assert graph.re.dtype == dtype
     np.testing.assert_array_equal(arrays.re, graph.re.data)
@@ -209,7 +265,7 @@ def test_kernel_shape_validated():
     w = ComplexPair(np.zeros((2, 2, 8)), np.zeros((2, 2, 8)))
     bad = ComplexPair(np.zeros((3, 2, 1, 5)), np.zeros((3, 2, 1, 5)))
     with pytest.raises(ValueError):
-        complex_conv2d(w, bad, spec)
+        complex_conv2d(w, conv_operand(bad.re, bad.im), spec)
 
 
 # ---- LSTM ----------------------------------------------------------------
@@ -265,21 +321,35 @@ def test_bidirectional_lstm_reverses_cleanly():
     rng = np.random.default_rng(9)
     spec = rand_lstm_spec(rng, 2, 3, bidirectional=True)
     x = as_var(rng.normal(size=(6, 2, 2)))
-    y, st = lstm_seq(x, spec)
+    y, st = lstm_seq(x, spec.operand())
     assert st is None
     assert y.shape == (6, 2, 3 * 2)
     # forward half matches the unidirectional run on the same weights
     uni = LstmSpec(2, 3, False, {k: v for k, v in spec.weights.items()
                                  if not k.endswith("_rev")})
-    yf, _ = lstm_seq(x, uni)
+    yf, _ = lstm_seq(x, uni.operand())
     np.testing.assert_allclose(y.data[:, :, :3], yf.data, atol=1e-12)
     # backward half equals the forward run on the reversed sequence, reversed
     rev = LstmSpec(2, 3, False, {k[:-4]: v for k, v in spec.weights.items()
                                  if k.endswith("_rev")})
-    yb, _ = lstm_seq(as_var(x.data[::-1].copy()), rev)
+    yb, _ = lstm_seq(as_var(x.data[::-1].copy()), rev.operand())
     np.testing.assert_allclose(y.data[:, :, 3:], yb.data[::-1], atol=1e-12)
     with pytest.raises(ValueError):
-        lstm_seq(x, spec, state=(np.zeros((2, 3)), np.zeros((2, 3))))
+        lstm_seq(x, spec.operand(), state=(np.zeros((2, 3)), np.zeros((2, 3))))
+
+
+def test_lstm_operand_layout():
+    """The group's operands: w_ih^T, C-ordered stacked w_hh^T, b_ih + b_hh."""
+    rng = np.random.default_rng(22)
+    spec = rand_lstm_spec(rng, 3, 4, bidirectional=True)
+    w = spec.weights
+    with no_grad():
+        op = spec.operand()
+    assert op.w_hh.shape == (2, 4, 16) and op.w_hh.flags.c_contiguous
+    np.testing.assert_array_equal(op.w_hh[1], w["w_hh_rev"].T)
+    np.testing.assert_array_equal(op.w_ih[1], w["w_ih_rev"].T)
+    np.testing.assert_array_equal(op.b[0], w["b_ih"] + w["b_hh"])
+    assert op.reverse == (False, True)
 
 
 # ---- F-T block, complex LSTM, deep filter, activations -------------------
@@ -290,14 +360,14 @@ def test_ft_lstm_pure_residual_when_projections_zero():
     c, f, t, hd = 3, 5, 4, 2
 
     def params():
-        return FtLstmParams(
+        return FtLstmWeights(
             f_spec=rand_lstm_spec(rng, c, hd, True),
             t_spec=rand_lstm_spec(rng, c, hd, False),
             proj_f_w=np.zeros((c, 2 * hd)), proj_f_b=np.zeros(c),
             proj_t_w=np.zeros((c, hd)), proj_t_b=np.zeros(c))
 
     h = ComplexPair(rng.normal(size=(c, f, t)), rng.normal(size=(c, f, t)))
-    out, _ = ft_lstm_block(h, params(), params())
+    out, _ = ft_lstm_block(h, ft_operand(params(), params()))
     np.testing.assert_allclose(out.re.data, h.re.data, atol=1e-12)
     np.testing.assert_allclose(out.im.data, h.im.data, atol=1e-12)
 
@@ -305,16 +375,16 @@ def test_ft_lstm_pure_residual_when_projections_zero():
 def test_ft_lstm_f_stage_is_frame_independent():
     rng = np.random.default_rng(11)
     c, f, t, hd = 2, 4, 5, 2
-    p = FtLstmParams(
+    p = FtLstmWeights(
         f_spec=rand_lstm_spec(rng, c, hd, True),
         t_spec=rand_lstm_spec(rng, c, hd, False),
         proj_f_w=0.3 * rng.normal(size=(c, 2 * hd)), proj_f_b=np.zeros(c),
         proj_t_w=np.zeros((c, hd)), proj_t_b=np.zeros(c))
     x = rng.normal(size=(c, f, t))
     perm = np.array([3, 1, 4, 0, 2])
-    out, _ = ft_lstm_block(ComplexPair(x, np.zeros_like(x)), p, p)
+    out, _ = ft_lstm_block(ComplexPair(x, np.zeros_like(x)), ft_operand(p, p))
     out_p, _ = ft_lstm_block(
-        ComplexPair(x[:, :, perm].copy(), np.zeros_like(x)), p, p)
+        ComplexPair(x[:, :, perm].copy(), np.zeros_like(x)), ft_operand(p, p))
     # with the T-stage projection zeroed, permuting frames permutes outputs
     np.testing.assert_allclose(out.re.data[:, :, perm], out_p.re.data, atol=1e-10)
 
@@ -324,14 +394,14 @@ def test_ft_lstm_paper_shape():
     c, f, t, hd = 96, 79, 3, 8
 
     def params():
-        return FtLstmParams(
+        return FtLstmWeights(
             f_spec=rand_lstm_spec(rng, c, hd, True),
             t_spec=rand_lstm_spec(rng, c, hd, False),
             proj_f_w=0.1 * rng.normal(size=(c, 2 * hd)), proj_f_b=np.zeros(c),
             proj_t_w=0.1 * rng.normal(size=(c, hd)), proj_t_b=np.zeros(c))
 
     h = ComplexPair(rng.normal(size=(c, f, t)), rng.normal(size=(c, f, t)))
-    out, states = ft_lstm_block(h, params(), params())
+    out, states = ft_lstm_block(h, ft_operand(params(), params()))
     assert out.shape == (c, f, t)
     assert len(states) == 2
 
@@ -344,9 +414,7 @@ def test_complex_lstm_zero_imag_weights_decouples():
                                    "w_hh": np.zeros((4 * hd, hd)),
                                    "b_ih": np.zeros(4 * hd),
                                    "b_hh": np.zeros(4 * hd)})
-    p = ComplexLstmParams(spec_r=spec_r, spec_i=zero,
-                          proj_pr=np.eye(d, hd), proj_pi=np.zeros((d, hd)),
-                          proj_br=np.zeros(d), proj_bi=np.zeros(d))
+    p = clstm_operand(spec_r, zero, np.eye(d, hd), np.zeros((d, hd)), np.zeros(d), np.zeros(d))
     xr = rng.normal(size=(t, d))
     xi = rng.normal(size=(t, d))
     out, _ = complex_lstm(ComplexPair(xr, xi), p)
@@ -363,7 +431,7 @@ def test_complex_lstm_real_input_imag_path():
     spec_i = rand_lstm_spec(rng, d, hd)
     pr, pi = 0.3 * rng.normal(size=(2, d, hd))
     br, bi = 0.3 * rng.normal(size=(2, d))
-    p = ComplexLstmParams(spec_r, spec_i, pr, pi, br, bi)
+    p = clstm_operand(spec_r, spec_i, pr, pi, br, bi)
     x = rng.normal(size=(t, d))
     out, _ = complex_lstm(ComplexPair(x, np.zeros((t, d))), p)
     # biases make an LSTM on silence nonzero, so both branches contribute
@@ -371,18 +439,17 @@ def test_complex_lstm_real_input_imag_path():
     yr0, _ = lstm_forward(np.zeros((t, d)), spec_r)
     yi, _ = lstm_forward(x, spec_i)
     yi0, _ = lstm_forward(np.zeros((t, d)), spec_i)
-    ref = complex_linear(ComplexPair(yr.data - yi0.data, yr0.data + yi.data),
-                         pr, pi, br, bi)
-    np.testing.assert_allclose(out.re.data, ref.re.data, atol=1e-10)
-    np.testing.assert_allclose(out.im.data, ref.im.data, atol=1e-10)
+    re, im = yr.data - yi0.data, yr0.data + yi.data
+    np.testing.assert_allclose(out.re.data, re @ pr.T - im @ pi.T + br, atol=1e-10)
+    np.testing.assert_allclose(out.im.data, im @ pr.T + re @ pi.T + bi, atol=1e-10)
 
 
 def test_complex_lstm_state_carry():
     rng = np.random.default_rng(15)
     t, d, hd = 8, 3, 2
-    p = ComplexLstmParams(rand_lstm_spec(rng, d, hd), rand_lstm_spec(rng, d, hd),
-                          0.3 * rng.normal(size=(d, hd)), 0.3 * rng.normal(size=(d, hd)),
-                          np.zeros(d), np.zeros(d))
+    p = clstm_operand(rand_lstm_spec(rng, d, hd), rand_lstm_spec(rng, d, hd),
+                      0.3 * rng.normal(size=(d, hd)), 0.3 * rng.normal(size=(d, hd)),
+                      np.zeros(d), np.zeros(d))
     x = ComplexPair(rng.normal(size=(t, d)), rng.normal(size=(t, d)))
     full, _ = complex_lstm(x, p)
     a, st = complex_lstm(ComplexPair(x.re.data[:4], x.im.data[:4]), p)
@@ -404,9 +471,9 @@ def _ft_params(rng, c, hd, dtype):
     t_spec = rand_lstm_spec(rng, c, hd, False)
     for spec in (f_spec, t_spec):
         spec.weights = {k: cast(v) for k, v in spec.weights.items()}
-    return FtLstmParams(f_spec, t_spec,
-                        cast(0.4 * rng.normal(size=(c, 2 * hd))), cast(0.4 * rng.normal(size=c)),
-                        cast(0.4 * rng.normal(size=(c, hd))), cast(0.4 * rng.normal(size=c)))
+    return FtLstmWeights(f_spec, t_spec,
+                         cast(0.4 * rng.normal(size=(c, 2 * hd))), cast(0.4 * rng.normal(size=c)),
+                         cast(0.4 * rng.normal(size=(c, hd))), cast(0.4 * rng.normal(size=c)))
 
 
 def _clstm_params(rng, d, hd, dtype):
@@ -415,7 +482,7 @@ def _clstm_params(rng, d, hd, dtype):
         spec.weights = {k: v.astype(dtype) for k, v in spec.weights.items()}
     pr, pi = (0.4 * rng.normal(size=(2, d, hd))).astype(dtype)
     br, bi = (0.4 * rng.normal(size=(2, d))).astype(dtype)
-    return ComplexLstmParams(*specs, pr, pi, br, bi)
+    return (*specs, pr, pi, br, bi)
 
 
 def _both_paths(fn):
@@ -456,7 +523,7 @@ def test_ft_lstm_block_arrays_match_graph(dtype, n):
     p_re, p_im = _ft_params(rng, c, hd, dtype), _ft_params(rng, c, hd, dtype)
     h = rng.normal(size=(2, c, f, n)).astype(dtype)
     _assert_same_bits(*_both_paths(
-        lambda: ft_lstm_block(ComplexPair(h[0], h[1]), p_re, p_im)))
+        lambda: ft_lstm_block(ComplexPair(h[0], h[1]), ft_operand(p_re, p_im))))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -466,9 +533,9 @@ def test_ft_lstm_block_batched_with_carried_states_matches_graph(dtype):
     p_re, p_im = _ft_params(rng, c, hd, dtype), _ft_params(rng, c, hd, dtype)
     h1, h2 = rng.normal(size=(2, 2, c, f, b, t)).astype(dtype)
     with no_grad():
-        _, states = ft_lstm_block(ComplexPair(h1[0], h1[1]), p_re, p_im)
+        _, states = ft_lstm_block(ComplexPair(h1[0], h1[1]), ft_operand(p_re, p_im))
     _assert_same_bits(*_both_paths(
-        lambda: ft_lstm_block(ComplexPair(h2[0], h2[1]), p_re, p_im, states)))
+        lambda: ft_lstm_block(ComplexPair(h2[0], h2[1]), ft_operand(p_re, p_im), states)))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -478,7 +545,7 @@ def test_bidirectional_lstm_seq_arrays_match_graph(dtype, n):
     spec = rand_lstm_spec(rng, 5, 8, bidirectional=True)
     spec.weights = {k: v.astype(dtype) for k, v in spec.weights.items()}
     x = rng.normal(size=(6, n, 5)).astype(dtype)
-    _assert_same_bits(*_both_paths(lambda: lstm_seq(x, spec)))
+    _assert_same_bits(*_both_paths(lambda: lstm_seq(x, spec.operand())))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -487,7 +554,8 @@ def test_complex_lstm_arrays_match_graph(dtype, n):
     rng = np.random.default_rng(60 + n)
     p = _clstm_params(rng, 5, 8, dtype)
     x = rng.normal(size=(2, 4, n, 5)).astype(dtype)
-    _assert_same_bits(*_both_paths(lambda: complex_lstm(ComplexPair(x[0], x[1]), p)))
+    _assert_same_bits(*_both_paths(
+        lambda: complex_lstm(ComplexPair(x[0], x[1]), clstm_operand(*p))))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -496,9 +564,9 @@ def test_complex_lstm_batched_with_carried_states_matches_graph(dtype):
     p = _clstm_params(rng, 5, 8, dtype)
     x1, x2 = rng.normal(size=(2, 2, 3, 4, 5)).astype(dtype)
     with no_grad():
-        _, states = complex_lstm(ComplexPair(x1[0], x1[1]), p)
+        _, states = complex_lstm(ComplexPair(x1[0], x1[1]), clstm_operand(*p))
     _assert_same_bits(*_both_paths(
-        lambda: complex_lstm(ComplexPair(x2[0], x2[1]), p, states)))
+        lambda: complex_lstm(ComplexPair(x2[0], x2[1]), clstm_operand(*p), states)))
 
 
 def ft_lstm_oracle(xp, p):
@@ -533,7 +601,7 @@ def test_ft_lstm_arrays_match_scalar_oracle():
         p_re, p_im = (_ft_params(rng, c, hd, np.float64) for _ in range(2))
         hx = rng.normal(size=(2, c, f, t))
         with no_grad():
-            out, _ = ft_lstm_block(ComplexPair(hx[0], hx[1]), p_re, p_im)
+            out, _ = ft_lstm_block(ComplexPair(hx[0], hx[1]), ft_operand(p_re, p_im))
         assert type(out.re) is np.ndarray
         worst = max(worst, np.max(np.abs(out.re - ft_lstm_oracle(hx[0], p_re))),
                     np.max(np.abs(out.im - ft_lstm_oracle(hx[1], p_im))))
@@ -616,4 +684,17 @@ def test_linear_matches_numpy():
     x = rng.normal(size=(3, 4, 5))
     w = rng.normal(size=(2, 5))
     b = rng.normal(size=2)
-    np.testing.assert_allclose(linear(x, w, b).data, x @ w.T + b, atol=1e-12)
+    np.testing.assert_allclose(linear(x, *linear_operand(w, b)).data, x @ w.T + b,
+                               atol=1e-12)
+
+
+def test_complex_linear_is_the_complex_product():
+    """One real product against the complex formula, in float64."""
+    rng = np.random.default_rng(21)
+    re, im = rng.normal(size=(2, 3, 4, 5))
+    pr, pi = rng.normal(size=(2, 6, 5))
+    br, bi = rng.normal(size=(2, 6))
+    with no_grad():
+        out = complex_linear(ComplexPair(re, im), *complex_linear_operand(pr, pi, br, bi))
+    assert np.max(np.abs(out.re - (re @ pr.T - im @ pi.T + br))) <= 1e-12
+    assert np.max(np.abs(out.im - (im @ pr.T + re @ pi.T + bi))) <= 1e-12
