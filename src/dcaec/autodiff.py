@@ -20,6 +20,7 @@ Var sets ``__array_ufunc__ = None``, so an ndarray on the left of ``+``,
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -104,7 +105,7 @@ class Var:
 
     def __add__(self, other):
         a, b = self, other
-        bd = b.data if isinstance(b, Var) else np.asarray(b)
+        bd = b.data if isinstance(b, Var) else _const(b)
         out_data = a.data + bd
 
         def bwd(g):
@@ -127,14 +128,14 @@ class Var:
         return Var._make(-a.data, (a,), bwd)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Var) else -np.asarray(other))
+        return self + (-other if isinstance(other, Var) else -_const(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         a, b = self, other
-        bd = b.data if isinstance(b, Var) else np.asarray(b)
+        bd = b.data if isinstance(b, Var) else _const(b)
         out_data = a.data * bd
 
         def bwd(g):
@@ -148,7 +149,7 @@ class Var:
 
     def __truediv__(self, other):
         a, b = self, other
-        bd = b.data if isinstance(b, Var) else np.asarray(b)
+        bd = b.data if isinstance(b, Var) else _const(b)
         out_data = a.data / bd
 
         def bwd(g):
@@ -160,7 +161,7 @@ class Var:
 
     def __rtruediv__(self, other):
         a = self
-        c = np.asarray(other)
+        c = _const(other)
         out_data = c / a.data
 
         def bwd(g):
@@ -285,6 +286,12 @@ def _float(x):
     return x if x.dtype.kind == "f" else x.astype(np.float64)
 
 
+def _const(x):
+    """A constant operand.  A Python number stays one: it adopts the Var's
+    dtype, where a 0-d float64 array would raise a float32 Var to float64."""
+    return x if isinstance(x, (int, float)) else np.asarray(x)
+
+
 def as_var(x):
     return x if isinstance(x, Var) else Var(x)
 
@@ -391,7 +398,7 @@ def multi_node(outs, inputs, backward):
             if g is not None and isinstance(x, Var):
                 x._accum(g, own=True)
 
-    core = Var._make(np.zeros(()), inputs, bwd)
+    core = Var._make(np.zeros((), outs[0].dtype), inputs, bwd)
 
     def out(i, data):
         def bwd_out(g):
@@ -406,7 +413,7 @@ def multi_node(outs, inputs, backward):
 def log10(x):
     """np.log10 of x, a Var or an array."""
     a = value(x)
-    return _unary(x, np.log10(a), lambda g: g / (a * np.log(10.0)))
+    return _unary(x, np.log10(a), lambda g: g / (a * math.log(10.0)))
 
 
 def dot(a, b):

@@ -120,13 +120,24 @@ class ComplexSpec:
 
 
 def frame_signal(x, cfg):
-    """Cut x (..., n) into windowed frames (..., T, win_len); tail zero-padded."""
-    t = cfg.n_frames(x.shape[-1])
-    n = max(t - 1, 0) * cfg.hop + cfg.win_len
+    """Cut x (..., n) into windowed frames (..., T, win_len); tail zero-padded.
+
+    Frame i is hop-long blocks i .. i + r - 1 of x (r = win_len / hop), so the
+    frames are filled from r shifted runs of blocks, the layout synthesis
+    overlap-adds.
+    """
+    t, hop = cfg.n_frames(x.shape[-1]), cfg.hop
+    r, lead = cfg.win_len // hop, x.shape[:-1]
+    n = (t + r - 1) * hop
     if n > x.shape[-1]:
-        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])])
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.win_len, axis=-1)
-    return frames[..., :t * cfg.hop:cfg.hop, :] * cfg.window
+        x = np.pad(x, [(0, 0)] * len(lead) + [(0, n - x.shape[-1])])
+    blocks = x.reshape(*lead, t + r - 1, hop)
+    frames = np.empty((*lead, t, r, hop), np.result_type(x, cfg.window))
+    for k in range(r):
+        frames[..., k, :] = blocks[..., k:k + t, :]
+    frames = frames.reshape(*lead, t, cfg.win_len)
+    frames *= cfg.window
+    return frames
 
 
 def stft(x: AudioBuffer, cfg: StftConfig) -> ComplexSpec:
@@ -142,11 +153,12 @@ def stft(x: AudioBuffer, cfg: StftConfig) -> ComplexSpec:
 def synthesis(re, im, cfg: StftConfig):
     """Overlap-add synthesis of a (T >= 1, F) spectrum, arrays or Vars.
 
-    Returns the (T-1)*hop + win_len samples of the windowed inverse DFTs.
+    Returns the (T-1)*hop + win_len samples of the windowed inverse DFTs, in
+    re's dtype.
     """
-    ci, si = idft_matrices(cfg.fft_size)
+    ci, si = idft_matrices(cfg.fft_size, re.dtype)
     frames = re @ ci + im @ si          # (T, fft_size)
-    frames = frames[:, :cfg.win_len] * cfg.window
+    frames = frames[:, :cfg.win_len] * cfg.window.astype(re.dtype, copy=False)
     t = frames.shape[0]
     n_out = (t - 1) * cfg.hop + cfg.win_len
     # frames k, k + r, k + 2r, ... (r = win_len / hop) do not overlap, so
@@ -185,19 +197,19 @@ def dft_matrices(fft_size):
 
 
 @lru_cache(maxsize=None)
-def idft_matrices(fft_size):
+def idft_matrices(fft_size, dtype=np.float64):
     """Inverse one-sided DFT matrices Ci, Si of shape (n_bins, fft_size).
 
     frames = re @ Ci + im @ Si, matching np.fft.irfft (imaginary parts of the
     DC and Nyquist bins are multiplied by zero rows).  Cached, so every caller
-    shares one read-only pair per size.
+    shares one read-only pair per size and dtype.
     """
     cos_m, sin_m = dft_matrices(fft_size)
     w = np.full(fft_size // 2 + 1, 2.0)
     w[0] = 1.0
     if fft_size % 2 == 0:
         w[-1] = 1.0
-    out = (w[:, None] * cos_m) / fft_size, (w[:, None] * sin_m) / fft_size
+    out = tuple(((w[:, None] * m) / fft_size).astype(dtype) for m in (cos_m, sin_m))
     for m in out:
         m.flags.writeable = False
     return out

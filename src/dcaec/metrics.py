@@ -2,7 +2,8 @@
 
 ``si_snr`` and ``seg_sisnr`` also take an autodiff Var estimate: the
 training objective is the negative ``seg_sisnr`` of the network output, so
-the loss is the reported metric, computed by the same code.
+the loss is the reported metric, computed by the same code.  They compute in
+the estimate's dtype, so a float32 Var gives a float32 loss.
 """
 
 from dataclasses import dataclass, field
@@ -35,10 +36,10 @@ class ChunkPlan:
         self.chunk_counts = counts
 
 
-def _as_samples(a):
+def _as_samples(a, dtype=np.float64):
     if isinstance(a, AudioBuffer):
-        return a.samples
-    return a if isinstance(a, Var) else np.asarray(a, dtype=np.float64)
+        a = a.samples
+    return a if isinstance(a, Var) else np.asarray(a, dtype=dtype)
 
 
 def si_snr(s_hat, s, mode="standard"):
@@ -48,7 +49,7 @@ def si_snr(s_hat, s, mode="standard"):
     mode "literal": e = s_hat - s.
     """
     s_hat = _as_samples(s_hat)
-    s = _as_samples(s)
+    s = _as_samples(s, s_hat.dtype)
     if s_hat.shape != s.shape:
         raise ValueError("length mismatch")
     s_energy = np.dot(s, s)
@@ -81,7 +82,7 @@ def seg_sisnr(s_hat, s, plan: ChunkPlan = None, mode="standard", per_c=None):
     if plan is None:
         plan = ChunkPlan()
     s_hat = _as_samples(s_hat)
-    s = _as_samples(s)
+    s = _as_samples(s, s_hat.dtype)
     if s_hat.shape != s.shape:
         raise ValueError("length mismatch")
     floor = 10.0 ** (plan.min_ref_energy_db / 10.0)

@@ -283,7 +283,7 @@ def layer_operands(params, cfg: ModelConfig):
     for i in range(cfg.clstm_layers):
         q = f"clstm{i}"
         proj = (p[f"{q}.proj.{w}"] for w in ("pr", "pi", "br", "bi"))
-        ops[q] = (nn.lstm_operand([_cell(p, f"{q}.{w}") for w in "rrii"]),
+        ops[q] = (nn.lstm_operand([_cell(p, f"{q}.{w}") for w in "ri"]),
                   nn.complex_linear_operand(*proj))
     return ops
 
@@ -397,16 +397,17 @@ def _framed(x: ComplexPair, b):
 def batch_mask_graph(y_specs, x_specs, params, cfg: ModelConfig, note=_no_note):
     """Masks of B equal-length sequences in one graph: (T, F) for one, else
     (T, B, F).  Every stage runs once over all frames of all sequences, in
-    the spectra's dtype."""
+    the parameters' dtype."""
     b, t = len(y_specs), y_specs[0].n_frames
     if any(sp.n_frames != t for sp in (*y_specs, *x_specs)):
         raise ValueError("sequences must have equal length")
+    dt = np.result_type(*{value(v).dtype for v in params.values()})
 
-    def frames(specs, part):  # (B*T, F)
-        return np.concatenate([getattr(sp, part) for sp in specs])
+    def stacked(part):  # (2, B*T, F)
+        return np.stack([np.concatenate([getattr(sp, part) for sp in specs])
+                         for specs in (y_specs, x_specs)]).astype(dt, copy=False)
 
-    w = ComplexPair(np.stack([frames(y_specs, "re"), frames(x_specs, "re")]),
-                    np.stack([frames(y_specs, "im"), frames(x_specs, "im")]))
+    w = ComplexPair(stacked("re"), stacked("im"))
     note("input", w)
     ops = layer_operands(params, cfg)
     dec, _ = encode_stage(w, b, ops, cfg, note=note)

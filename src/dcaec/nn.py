@@ -20,8 +20,8 @@ recurrent product and `lstm_cell`, and the loop is the same on both paths:
 on arrays it runs alone; while gradients record it also keeps its gate
 activations and cell states, and the group becomes one graph node with a
 hand-written backpropagation through time.  The F-T block's F-stage (re/im x
-forward/backward) and the complex LSTM's four recurrences each run as K = 4,
-every other LSTM as K = 1.
+forward/backward) runs as K = 4, the complex LSTM's two recurrences (each
+over both parts) as K = 2, every other LSTM as K = 1.
 """
 
 from dataclasses import dataclass
@@ -382,19 +382,19 @@ def complex_lstm(x: ComplexPair, p, states=None):
     """One complex LSTM layer over x (T, D), or (T, B, D) for B sequences,
     with complex dense projection.
 
-    out_re = L_r(re) - L_i(im); out_im = L_r(im) + L_i(re).  p: the layer's
-    recurrences L_r, L_r, L_i, L_i as one lstm_operand, and its
-    complex_linear_operand.  states is a 4-tuple of (h, c) pairs: (r on re,
-    r on im, i on re, i on im).
+    out_re = L_r(re) - L_i(im); out_im = L_r(im) + L_i(re), so L_r and L_i
+    each run once over the 2B sequences [re; im].  p: the layer's recurrences
+    L_r, L_i as one lstm_operand, and its complex_linear_operand.  states is
+    a 2-tuple of (h, c) pairs (L_r, L_i), each (2B, H) with the re rows first.
     """
-    s = states if states is not None else (None, None, None, None)
     lead = x.shape[:-1]
-    xr = x.re.reshape(lead[0], -1, x.shape[-1])
-    xi = x.im.reshape(lead[0], -1, x.shape[-1])
+    ri = concat([v.reshape(lead[0], -1, x.shape[-1]) for v in (x.re, x.im)], axis=1)
+    b = ri.shape[1] // 2
     lstm, proj = p
-    (rr, ri, ir, ii), states = lstm_group([xr, xi, xr, xi], lstm, s)
-    h = rr.shape[-1]
-    pair = ComplexPair((rr - ii).reshape(*lead, h), (ri + ir).reshape(*lead, h))
+    (yr, yi), states = lstm_group([ri, ri], lstm, states or (None, None))
+    h = yr.shape[-1]
+    pair = ComplexPair((yr[:, :b] - yi[:, b:]).reshape(*lead, h),
+                       (yr[:, b:] + yi[:, :b]).reshape(*lead, h))
     return complex_linear(pair, *proj), tuple(states)
 
 

@@ -5,6 +5,10 @@ chunk counts summed) of the time-domain network output: ``metrics.seg_sisnr``
 itself, run on a Var estimate, so the training loss is the reported metric.
 The synthesis (mask multiply, then ``dsp.synthesis``: inverse DFT, window
 and overlap-add) is part of the differentiated graph.
+
+A step runs in its parameters' dtype: ``toy_train`` trains in float32, the
+precision the weights are stored and served in, while the gradient checks
+pass float64 parameters and run in float64.
 """
 
 import time
@@ -31,21 +35,24 @@ def batched_loss(examples, params, cfg: ModelConfig, plan: ChunkPlan = None):
     """Mean negative Seg-SiSNR over same-length examples in one graph.
 
     The network runs once over the whole batch (see model.batch_mask_graph);
-    only the synthesis and the objective are per example.
+    only the synthesis and the objective are per example.  Everything runs in
+    the parameters' dtype, so the loss and its gradients have it too.
     """
     y_specs = [stft(ex.y, cfg.stft) for ex in examples]
     x_specs = [stft(ex.x, cfg.stft) for ex in examples]
     b = len(examples)
     m = batch_mask_graph(y_specs, x_specs, params, cfg)
+    dt = m.re.dtype
     t, f = y_specs[0].re.shape
     m_re, m_im = m.re.reshape(t, b, f), m.im.reshape(t, b, f)
     total = None
     for k, (ex, ys) in enumerate(zip(examples, y_specs)):
-        s_re = m_re[:, k] * ys.re - m_im[:, k] * ys.im
-        s_im = m_re[:, k] * ys.im + m_im[:, k] * ys.re
+        y_re, y_im = ys.re.astype(dt, copy=False), ys.im.astype(dt, copy=False)
+        s_re = m_re[:, k] * y_re - m_im[:, k] * y_im
+        s_im = m_re[:, k] * y_im + m_im[:, k] * y_re
         s_hat = istft_graph(s_re, s_im, cfg.stft)
         n = s_hat.shape[0]
-        ref = np.pad(ex.s.samples, (0, max(0, n - len(ex.s))))[:n]
+        ref = np.pad(ex.s.samples, (0, max(0, n - len(ex.s))))[:n].astype(dt)
         l = seg_sisnr(s_hat, ref, plan) * (-1.0)
         total = l if total is None else total + l
     return total * (1.0 / b)
@@ -117,11 +124,11 @@ def toy_train(store: WeightStore, cfg: ModelConfig, examples, steps=50,
               lr=1e-3, plan: ChunkPlan = None, log_fn=None):
     """Full-batch Adam on a fixed set of scene examples.
 
+    The parameters, their Adam moments and every step's graph are float32.
     Returns (store, log) where log is a list of {step, loss, lr, wall} records.
     Deterministic for fixed inputs.
     """
-    params_np = {k: np.asarray(v, dtype=np.float64).copy()
-                 for k, v in store.tensors.items()}
+    params_np = {k: np.array(v, dtype=np.float32) for k, v in store.tensors.items()}
     state = AdamState(lr=lr)
     log = []
     for step in range(steps):
@@ -139,10 +146,8 @@ def toy_train(store: WeightStore, cfg: ModelConfig, examples, steps=50,
         log.append(rec)
         if log_fn is not None:
             log_fn(rec)
-    out = WeightStore(
-        type(store.tensors)((k, params_np[k].astype(np.float32))
-                            for k in store.tensors),
-        dict(store.meta))
+    out = WeightStore(type(store.tensors)((k, params_np[k]) for k in store.tensors),
+                      dict(store.meta))
     return out, log
 
 

@@ -222,7 +222,7 @@ LSTM_GROUPS = {
     "k1_reverse": dict(reverse=[True]),
     "k2": dict(reverse=[False, True]),
     "k4": dict(reverse=[False, True, True, False]),
-    # complex_lstm's layout: cells (r, r, i, i) on inputs (re, im, re, im)
+    # cells (a, a, b, b) on inputs (x, y, x, y): shared weights, shared inputs
     "k4_shared_weights": dict(reverse=[False] * 4, shared=True),
     "k2_carried_states": dict(reverse=[True, False], carried=True),
     "k4_final_state_only": dict(reverse=[False, True, False, True], carried=True,

@@ -131,6 +131,19 @@ def test_frame_signal_matches_loop(n):
     np.testing.assert_array_equal(frame_signal(x[1], CFG), want[1])
 
 
+@pytest.mark.parametrize("n", [0, 159, 480, 1000])
+def test_frame_signal_matches_strided_view(n):
+    """Bitwise the windowed sliding-window view that framing once was: n
+    below one window, a whole number of hops and a part hop."""
+    x = np.random.default_rng(n).normal(size=(2, n))
+    t = CFG.n_frames(n)
+    padded = np.pad(x, ((0, 0), (0, max(t - 1, 0) * CFG.hop + CFG.win_len - n)))
+    view = np.lib.stride_tricks.sliding_window_view(padded, CFG.win_len, axis=-1)
+    want = view[:, :t * CFG.hop:CFG.hop] * CFG.window
+    np.testing.assert_array_equal(frame_signal(x, CFG), want)
+    np.testing.assert_array_equal(frame_signal(x[0], CFG), want[0])
+
+
 def test_parseval_single_frame():
     rng = np.random.default_rng(4)
     x = rng.normal(size=CFG.win_len)

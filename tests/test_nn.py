@@ -111,7 +111,7 @@ def ft_operand(p_re: FtLstmWeights, p_im: FtLstmWeights) -> FtLstmParams:
 
 def clstm_operand(spec_r: LstmSpec, spec_i: LstmSpec, pr, pi, br, bi):
     """A complex LSTM layer's operands from its stored weights."""
-    return (lstm_operand(spec_r.cells() * 2 + spec_i.cells() * 2),
+    return (lstm_operand(spec_r.cells() + spec_i.cells()),
             complex_linear_operand(pr, pi, br, bi))
 
 

@@ -170,6 +170,71 @@ def test_toy_train_holds_one_graph_at_a_time():
     assert two <= 1.1 * one, (one, two)
 
 
+def _loss_and_grads(exs, store, cfg, dtype, plan=None):
+    params = {k: as_var(np.array(v, dtype)) for k, v in store.tensors.items()}
+    loss = batched_loss(exs, params, cfg, plan)
+    return loss, backward(loss, params)
+
+
+def test_float32_step_matches_float64():
+    """A desk step at float32, the training precision, against float64: the
+    loss to 1e-5 relative, each gradient to 1e-3 of its tensor's largest."""
+    exs = _examples(n=3, seconds=0.5)
+    cfg = ModelConfig.desk_mode()
+    store = init_weights(cfg, seed=0)
+    l64, g64 = _loss_and_grads(exs, store, cfg, np.float64)
+    l32, g32 = _loss_and_grads(exs, store, cfg, np.float32)
+    assert abs(float(l32.data) - float(l64.data)) <= 1e-5 * abs(float(l64.data))
+    for k, g in g64.items():
+        assert np.max(np.abs(g32[k] - g)) <= 1e-3 * np.max(np.abs(g)), k
+
+
+def test_step_runs_in_the_parameters_dtype(monkeypatch):
+    """toy_train's parameters, Adam moments and result are float32;
+    float64 parameters, as the gradient checks pass, keep float64."""
+    exs = _examples(n=1, seconds=0.1)
+    cfg = ModelConfig.desk_mode()
+    store = init_weights(cfg, seed=0)
+    plan = ChunkPlan(chunk_counts=(1,))
+    seen = []
+
+    def adam(params, grads, state):
+        out = adam_step(params, grads, state)
+        seen.extend(a.dtype for a in (*params.values(), *grads.values(),
+                                      *state.m.values(), *state.v.values()))
+        return out
+
+    monkeypatch.setattr(training, "adam_step", adam)
+    out, _ = toy_train(store, cfg, exs, steps=2, plan=plan)
+    assert seen and set(seen) == {np.dtype(np.float32)}
+    assert {v.dtype for v in out.tensors.values()} == {np.dtype(np.float32)}
+    loss, grads = _loss_and_grads(exs, store, cfg, np.float64, plan)
+    assert loss.data.dtype == np.float64
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+
+
+def test_float32_step_halves_the_graph():
+    """A float32 step's peak is near half a float64 step's, which a graph
+    or its gradients silently raised to float64 would not be."""
+    exs = _examples(n=1, seconds=0.1)
+    cfg = ModelConfig.desk_mode()
+    store = init_weights(cfg, seed=0)
+    plan = ChunkPlan(chunk_counts=(1,))
+
+    def peak(dtype):
+        _loss_and_grads(exs, store, cfg, dtype, plan)   # fills the caches
+        params = {k: as_var(np.array(v, dtype)) for k, v in store.tensors.items()}
+        tracemalloc.start()
+        try:
+            backward(batched_loss(exs, params, cfg, plan), params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    p64, p32 = peak(np.float64), peak(np.float32)
+    assert p32 <= 0.6 * p64, (p32, p64)
+
+
 def test_backward_rejects_non_scalar():
     p = {"x": as_var(np.ones(3))}
     with pytest.raises(ValueError):
