@@ -12,8 +12,9 @@ unwraps Vars to their arrays.  The free functions below (``pad``,
 only definitions of their ops: each builds graph nodes when an operand is a
 Var and otherwise does plain numpy, so the same kernel code runs on Vars for
 training and arrays in, arrays out for inference.  An op that computes its
-own gradients, such as ``nn.lstm_group``'s recurrence loop, runs on arrays
-either way and, while recording, becomes one node through ``multi_node``.
+own gradients, such as ``nn.lstm_group``'s recurrence loop or the deep
+filter, runs on arrays either way and, while recording, becomes one node
+through ``multi_node``.
 
 Var sets ``__array_ufunc__ = None``, so an ndarray on the left of ``+``,
 ``-``, ``*``, ``/`` or ``@`` defers to the Var's reflected operator.
@@ -385,9 +386,9 @@ def multi_node(outs, inputs, backward):
     outs: the op's output arrays; inputs: its operands, Vars or constants.
     Returns one Var per output.  backward(gs) runs once, after every output's
     gradient is in, with gs[i] the gradient of outs[i] or None where none
-    reached it.  It returns one gradient or None per input, each a fresh
-    array; every Var input accumulates its own, so an input passed twice
-    gets the sum.
+    reached it.  It returns one gradient or None per input, each an array
+    it does not reuse; every Var input accumulates its own, so an input
+    passed twice gets the sum.
     """
     gs = [None] * len(outs)
 

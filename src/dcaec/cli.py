@@ -8,6 +8,7 @@ import argparse
 import contextlib
 import ctypes
 import json
+import resource
 import sys
 import time
 from dataclasses import fields
@@ -270,8 +271,11 @@ def cmd_traintoy(args):
     if args.out:
         save_weights(args.out, trained)
         print(f"saved trained weights to {args.out}")
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"loss {log[0]['loss']:.3f} -> {log[-1]['loss']:.3f} "
-          f"over {args.steps} steps (threads_pinned: {str(pinned).lower()})")
+          f"over {args.steps} steps (threads_pinned: {str(pinned).lower()}, "
+          f"peak_rss_mb: {peak_mb:.1f})")
 
 
 def cmd_bench(args):

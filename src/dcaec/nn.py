@@ -17,11 +17,16 @@ Recurrences go through one kernel, `lstm_group`, which advances K independent
 LSTMs (each with its own weights and direction) over inputs of one length
 and batch, one Python step per time step for all K.  The step is one stacked
 recurrent product and `lstm_cell`, and the loop is the same on both paths:
-on arrays it runs alone; while gradients record it also keeps its gate
-activations and cell states, and the group becomes one graph node with a
-hand-written backpropagation through time.  The F-T block's F-stage (re/im x
+on arrays it runs alone; while gradients record it also keeps every cell
+state, and the group becomes one graph node with a hand-written
+backpropagation through time, which rebuilds the gate activations from the
+kept hidden and cell states.  The F-T block's F-stage (re/im x
 forward/backward) runs as K = 4, the complex LSTM's two recurrences (each
 over both parts) as K = 2, every other LSTM as K = 1.
+
+A recorded op keeps only what its backward reads: `prelu` and
+`deep_filter_apply` are one graph node each, which keeps its output and
+reads its inputs' values again in backward.
 """
 
 from dataclasses import dataclass
@@ -29,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Var, concat, contiguous, fold, lift, multi_node, pad, unfold, value
+from .autodiff import (Var, _unbroadcast, concat, contiguous, fold, lift, multi_node, pad,
+                       unfold, value)
 
 
 @dataclass
@@ -153,25 +159,44 @@ def lstm_operand(cells):
                      reverse)
 
 
-def lstm_cell(g, c_prev, c, a, tc, tmp, h):
-    """One time step of K LSTMs, in place; gate order (input, forget, cell,
-    output).  g (K, N, 4H): the gates' pre-activations.  Writes the gate
-    sigmoids to a (K, N, 4H), whose cell block goes unused; the cell gate's
-    tanh to tc (K, N, H), which may be that block; the new cell state to c,
-    which may be c_prev itself; the new hidden state to h, which it returns.
-    tmp (K, N, H) is scratch and may be tc when tc need not be kept.
-    """
-    hd = h.shape[-1]
+def _gate_activations(g, a, tc):
+    """The gate activations of K LSTM steps: g (K, N, 4H) the pre-activations,
+    gate order (input, forget, cell, output).  Writes the sigmoids of all four
+    gates to a (K, N, 4H), whose cell block goes unused, and the cell gate's
+    tanh to tc (K, N, H), which may be that block."""
+    hd = tc.shape[-1]
     np.negative(g, out=a)
     np.exp(a, out=a)
     np.add(a, 1.0, out=a)
     np.divide(1.0, a, out=a)
     np.tanh(g[..., 2 * hd:3 * hd], out=tc)
+
+
+def lstm_cell(g, c_prev, c, a, tc, tmp, h):
+    """One time step of K LSTMs, in place.  g (K, N, 4H): the gates'
+    pre-activations; a and tc as for _gate_activations.  Writes the new cell
+    state to c, which may be c_prev itself, and the new hidden state to h,
+    which it returns.  tmp (K, N, H) is scratch and may be tc.
+    """
+    hd = h.shape[-1]
+    _gate_activations(g, a, tc)
     np.multiply(a[..., :hd], tc, out=tmp)
     np.multiply(c_prev, a[..., hd:2 * hd], out=c)
     c += tmp
     np.tanh(c, out=tmp)
     return np.multiply(a[..., 3 * hd:], tmp, out=h)
+
+
+def _gate_inputs(xd, w_ih, b, rev, out):
+    """x @ w_ih^T + b of every recurrence, written in place into out (K, S,
+    N, 4H), the reverse ones' scanned from the end, so that step t adds the
+    recurrent products to out[:, t]."""
+    k, s, n, h4 = out.shape
+    for j, (x, w) in enumerate(zip(xd, w_ih)):
+        x = x[::-1] if rev[j] else x
+        np.matmul(x.reshape(s * n, -1), w, out=out[j].reshape(s * n, h4))
+        out[j] += b[j]
+    return out
 
 
 def lstm_group(xs, op: LstmGroup, states):
@@ -183,9 +208,10 @@ def lstm_group(xs, op: LstmGroup, states):
 
     One loop serves inference and training: one Python step per time step
     for all K, one stacked recurrent product and a call of lstm_cell, in
-    buffers allocated once per call.  On arrays the loop runs alone.  While
-    gradients record it also keeps every step's gate activations and cell
-    state, and the group becomes one graph node whose backward is _lstm_bptt.
+    buffers allocated once per call.  While gradients record, the loop also
+    writes every step's cell state, and the group becomes one graph node
+    that keeps only the hidden and cell states; its backward, _lstm_bptt,
+    rebuilds the gate activations from them.
     """
     xs = [lift(x) for x in xs]
     record = isinstance(xs[0], Var)
@@ -194,85 +220,86 @@ def lstm_group(xs, op: LstmGroup, states):
     w_hh, b, rev = value(op.w_hh), value(op.b), op.reverse
     hd = w_hh.shape[1]
     dt = np.result_type(*xd, *w_ih, w_hh, b)
-    # input projections, written in place, the reverse cells' scanned from
-    # the end, so that step t adds the recurrent products to gx[:, t]
-    gx = np.empty((k, s, n, 4 * hd), dt)
-    for j, (x, w) in enumerate(zip(xd, w_ih)):
-        x = x[::-1] if rev[j] else x
-        np.matmul(x.reshape(s * n, -1), w, out=gx[j].reshape(s * n, 4 * hd))
-        gx[j] += b[j]
+    gx = _gate_inputs(xd, w_ih, b, rev, np.empty((k, s, n, 4 * hd), dt))
     hs = np.empty((k, s + 1, n, hd), dt)   # h_0 .. h_S
     hs[:, 0] = 0.0
-    c = np.zeros((k, n, hd), dt)
+    cs = np.zeros((k, s + 1 if record else 1, n, hd), dt)   # c_0 .. c_S, or c
     for j, st in enumerate(states):
         if st is not None:
-            hs[j, 0], c[j] = value(st[0]), value(st[1])
+            hs[j, 0], cs[j, 0] = value(st[0]), value(st[1])
     a = np.empty((k, n, 4 * hd), dt)    # gate activations of one step
     tmp = np.empty((k, n, hd), dt)
-    if record:  # every step's activations, and c_0 .. c_S
-        acts = np.empty((k, s, n, 4 * hd), dt)
-        cs = np.empty((k, s + 1, n, hd), dt)
-        cs[:, 0] = c
     hw = np.empty((k, n, 4 * hd), dt)   # recurrent products
+    c = cs[:, 0]
     for t in range(s):
         g = gx[:, t]
         g += np.matmul(hs[:, t], w_hh, out=hw)
-        if record:
-            a = acts[:, t]
-            lstm_cell(g, cs[:, t], cs[:, t + 1], a, a[..., 2 * hd:3 * hd], tmp, hs[:, t + 1])
-        else:
-            lstm_cell(g, c, c, a, tmp, tmp, hs[:, t + 1])
+        c_next = cs[:, t + 1] if record else c
+        lstm_cell(g, c, c_next, a, tmp, tmp, hs[:, t + 1])
+        c = c_next
     ys = [hs[j, :0:-1] if rev[j] else hs[j, 1:] for j in range(k)]
     if not record:
-        return ys, [(hs[j, s].copy(), c[j].copy()) for j in range(k)]
+        return ys, [(hs[j, s].copy(), cs[j, 0].copy()) for j in range(k)]
     inputs = xs + list(op.w_ih) + [op.w_hh, op.b]
     for st in states:
         inputs += st or (None, None)
     outs = multi_node(ys + list(cs[:, s]), inputs,
-                      lambda gs: _lstm_bptt(gs, xd, w_ih, w_hh, rev, acts, cs, hs))
+                      lambda gs: _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs))
     # a final h is its output's last step in scan order
     return outs[:k], [(y[0] if r else y[-1], c) for y, r, c in zip(outs, rev, outs[k:])]
 
 
-def _lstm_bptt(gs, xd, w_ih, w_hh, rev, acts, cs, hs):
+def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
     """lstm_group's backward.  gs: the gradients of its outputs, the K y
     and then the K final c (None where none arrived).  Returns those of its
     inputs: the K x, the K w_ih^T, w_hh, b and each recurrence's h_0 and c_0.
 
-    The K recurrences step back through time together, one stacked product
-    per step; then each dx and w_ih^T gradient is one gemm per recurrence.
+    The K recurrences step back through time together.  One (K, S, N, 4H)
+    buffer first holds x @ w_ih^T + b, as in the forward; each reverse step
+    adds its recurrent product and rebuilds that step's gate activations
+    with the forward's ops, then overwrites the step with its gate
+    gradients.  Each dx and w_ih^T gradient is then one gemm per recurrence.
     """
-    k, s, n, h4 = acts.shape
-    hd = h4 // 4
-    dy = np.zeros((k, s, n, hd), acts.dtype)   # dL/dh_t from outside the loop
-    dc = np.zeros((k, n, hd), acts.dtype)
+    k, s, n, hd = hs[:, 1:].shape
+    h4, dt = 4 * hd, hs.dtype
+    dg = _gate_inputs(xd, w_ih, b, rev, np.empty((k, s, n, h4), dt))
+    # the output gradients in scan order, read in place
+    dy = [(j, g[::-1] if rev[j] else g) for j, g in enumerate(gs[:k]) if g is not None]
+    dc = np.zeros((k, n, hd), dt)
     for j in range(k):
-        if gs[j] is not None:
-            dy[j] = gs[j][::-1] if rev[j] else gs[j]
         if gs[k + j] is not None:
             dc[j] = gs[k + j]
-    tc = np.tanh(cs[:, 1:])
-    dg = np.empty_like(acts)
-    dh = np.zeros((k, n, hd), acts.dtype)   # dL/dh_t through step t + 1
+    a = np.empty((k, n, h4), dt)
+    tc, th = np.empty((2, k, n, hd), dt)   # tanh of the cell gate and of the new c
+    hw = np.empty((k, n, h4), dt)
+    slope = np.empty((k, n, h4), dt)
+    dh = np.zeros((k, n, hd), dt)   # dL/dh_t through step t + 1
     w_hh_t = np.ascontiguousarray(w_hh.transpose(0, 2, 1))   # (K, 4H, H)
+    gi, gf, go = a[..., :hd], a[..., hd:2 * hd], a[..., 3 * hd:]
     for t in range(s - 1, -1, -1):
-        a, th, d = acts[:, t], tc[:, t], dg[:, t]
-        gi, gf, gc, go = (a[..., i * hd:(i + 1) * hd] for i in range(4))
-        dh += dy[:, t]
-        slope = a * (1.0 - a)
-        np.subtract(1.0, gc * gc, out=slope[..., 2 * hd:3 * hd])
+        d = dg[:, t]
+        d += np.matmul(hs[:, t], w_hh, out=hw)
+        _gate_activations(d, a, tc)
+        np.tanh(cs[:, t + 1], out=th)
+        for j, g in dy:
+            dh[j] += g[t]
+        np.subtract(1.0, a, out=slope)
+        slope *= a
+        np.subtract(1.0, tc * tc, out=slope[..., 2 * hd:3 * hd])
         np.multiply(dh, th, out=d[..., 3 * hd:])
         dc += dh * go * (1.0 - th * th)
-        np.multiply(dc, gc, out=d[..., :hd])
+        np.multiply(dc, tc, out=d[..., :hd])
         np.multiply(dc, cs[:, t], out=d[..., hd:2 * hd])
         np.multiply(dc, gi, out=d[..., 2 * hd:3 * hd])
         d *= slope
         dc *= gf
         np.matmul(d, w_hh_t, out=dh)
+    # in scan order: a reverse recurrence's x is reversed, not its gradients
     d_scan = dg.reshape(k, s * n, h4)
-    d_xs = [(dg[j, ::-1] if rev[j] else dg[j]).reshape(s * n, h4) for j in range(k)]
-    return ([(d_x @ w.T).reshape(s, n, -1) for d_x, w in zip(d_xs, w_ih)]
-            + [x.reshape(s * n, -1).T @ d_x for x, d_x in zip(xd, d_xs)]
+    d_xs = [(d @ w.T).reshape(s, n, -1) for d, w in zip(d_scan, w_ih)]
+    return ([d_x[::-1] if r else d_x for d_x, r in zip(d_xs, rev)]
+            + [(x[::-1] if r else x).reshape(s * n, -1).T @ d
+               for x, r, d in zip(xd, rev, d_scan)]
             + [hs[:, :s].reshape(k, s * n, hd).transpose(0, 2, 1) @ d_scan,
                d_scan.sum(axis=1)]
             + [g[j].copy() for j in range(k) for g in (dh, dc)])
@@ -405,7 +432,8 @@ def deep_filter_apply(coef: ComplexPair, target: ComplexPair) -> ComplexPair:
     frequency offset i and time offset j, i, j in {-1, 0, +1}.  target:
     (1, T, F), whose frames outside the block read as zero, or (1, T + 2, F)
     holding one frame of time context either side of the block.
-    Out-of-range frequency neighbours read as zero.
+    Out-of-range frequency neighbours read as zero.  While gradients record
+    the filter is one graph node, which keeps only its output.
     """
     if coef.shape[0] != 9:
         raise ValueError("deep filter needs 9 coefficient channels")
@@ -413,26 +441,58 @@ def deep_filter_apply(coef: ComplexPair, target: ComplexPair) -> ComplexPair:
     if target.shape[0] != 1 or target.shape[1] not in (t, t + 2) or target.shape[2] != f:
         raise ValueError("coef/target shape mismatch")
     pad_t = 1 if target.shape[1] == t else 0
-    tp_re = pad(target.re, ((0, 0), (pad_t, pad_t), (1, 1)))
-    tp_im = pad(target.im, ((0, 0), (pad_t, pad_t), (1, 1)))
-    out_re = None
-    out_im = None
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            ch = 3 * (i + 1) + (j + 1)
-            sr = tp_re[0, 1 + j:1 + j + t, 1 + i:1 + i + f]
-            si = tp_im[0, 1 + j:1 + j + t, 1 + i:1 + i + f]
-            cr = coef.re[ch]
-            ci = coef.im[ch]
-            re = cr * sr - ci * si
-            im = cr * si + ci * sr
-            out_re = re if out_re is None else out_re + re
-            out_im = im if out_im is None else out_im + im
-    return ComplexPair(out_re.reshape(1, t, f), out_im.reshape(1, t, f))
+    width = ((0, 0), (pad_t, pad_t), (1, 1))
+    ins = [lift(v) for v in (coef.re, coef.im, target.re, target.im)]
+    cr, ci, tr, ti = (value(v) for v in ins)
+
+    # each tap's channel and its (T, F) window of the padded target
+    taps = [(3 * (i + 1) + (j + 1), (0, slice(1 + j, 1 + j + t), slice(1 + i, 1 + i + f)))
+            for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    tp_re, tp_im = pad(tr, width), pad(ti, width)
+    out_re = out_im = None
+    for ch, win in taps:
+        sr, si = tp_re[win], tp_im[win]
+        re = cr[ch] * sr - ci[ch] * si
+        im = cr[ch] * si + ci[ch] * sr
+        if out_re is None:
+            out_re, out_im = re, im
+        else:
+            out_re += re
+            out_im += im
+    outs = [out_re.reshape(1, t, f), out_im.reshape(1, t, f)]
+    if not isinstance(ins[0], Var):
+        return ComplexPair(*outs)
+
+    def bwd(gs):
+        g_re, g_im = (np.zeros((t, f), cr.dtype) if g is None else g[0] for g in gs)
+        d_cr, d_ci = np.empty_like(cr), np.empty_like(ci)
+        # the padded target again, and its gradient
+        tp_re, tp_im = pad(tr, width), pad(ti, width)
+        d_re, d_im = np.zeros_like(tp_re), np.zeros_like(tp_im)
+        for ch, win in taps:
+            sr, si = tp_re[win], tp_im[win]
+            d_cr[ch] = g_re * sr + g_im * si
+            d_ci[ch] = g_im * sr - g_re * si
+            d_re[win] += g_re * cr[ch] + g_im * ci[ch]
+            d_im[win] += g_im * cr[ch] - g_re * ci[ch]
+        crop = (slice(None), slice(pad_t, pad_t + tr.shape[1]), slice(1, 1 + f))
+        return [d_cr, d_ci, d_re[crop], d_im[crop]]
+
+    return ComplexPair(*multi_node(outs, ins, bwd))
 
 
 def prelu(x, alpha):
-    """PReLU with per-channel slope alpha (broadcast against x)."""
-    x = lift(x)
-    mask = (value(x) >= 0).astype(x.dtype)
-    return x * mask + lift(alpha) * (x * (1.0 - mask))
+    """PReLU with per-channel slope alpha (broadcast against x):
+    max(x, 0) + alpha * min(x, 0).  While gradients record it is one graph
+    node, which keeps only its output."""
+    x, alpha = lift(x), lift(alpha)
+    xd, ad = value(x), value(alpha)
+    out = np.maximum(xd, 0) + ad * np.minimum(xd, 0)
+    if not isinstance(x, Var):
+        return out
+
+    def bwd(g):
+        x._accum(np.where(xd >= 0, g, g * ad), own=True)
+        alpha._accum(_unbroadcast(g * np.minimum(xd, 0), ad.shape), own=True)
+
+    return Var._make(out, (x, alpha), bwd)

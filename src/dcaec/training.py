@@ -129,7 +129,10 @@ def toy_train(store: WeightStore, cfg: ModelConfig, examples, steps=50,
     Deterministic for fixed inputs.
     """
     params_np = {k: np.array(v, dtype=np.float32) for k, v in store.tensors.items()}
-    state = AdamState(lr=lr)
+    # the moments exist before the first step, so that a step allocates
+    # nothing that outlives its graph
+    state = AdamState(lr=lr, m={k: np.zeros_like(v) for k, v in params_np.items()},
+                      v={k: np.zeros_like(v) for k, v in params_np.items()})
     log = []
     for step in range(steps):
         t0 = time.perf_counter()

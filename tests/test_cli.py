@@ -1,6 +1,7 @@
 """CLI behaviour via main(argv): exit codes, JSON reports, file outputs."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -263,7 +264,10 @@ def test_traintoy_smoke(tmp_path, capsys):
     text = capsys.readouterr().out
     steps = [json.loads(l) for l in text.splitlines() if l.startswith("{")]
     assert len(steps) == 2
-    assert "threads_pinned" in text.splitlines()[-1]
+    last = text.splitlines()[-1]
+    assert "threads_pinned" in last
+    peak = re.search(r"peak_rss_mb: ([0-9.]+)", last)
+    assert peak and float(peak.group(1)) > 0, last
     assert out.exists()
     load_weights(out)
 

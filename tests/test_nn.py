@@ -1,16 +1,18 @@
 """Network kernels against brute-force loop oracles and algebraic identities."""
 
+import gc
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from dcaec.autodiff import as_var, lift, no_grad
+from dcaec.autodiff import as_var, lift, no_grad, pad, value
 from dcaec.nn import (ComplexPair, ConvSpec, FtLstmParams,
                       complex_conv2d, complex_deconv2d, complex_linear,
                       complex_linear_operand, complex_lstm, conv_operand,
                       deep_filter_apply, ft_lstm_block, linear, linear_operand,
-                      lstm_operand, lstm_seq, prelu)
+                      lstm_group, lstm_operand, lstm_seq, prelu)
 
 
 # ---- oracles -------------------------------------------------------------
@@ -698,3 +700,135 @@ def test_complex_linear_is_the_complex_product():
         out = complex_linear(ComplexPair(re, im), *complex_linear_operand(pr, pi, br, bi))
     assert np.max(np.abs(out.re - (re @ pr.T - im @ pi.T + br))) <= 1e-12
     assert np.max(np.abs(out.im - (im @ pr.T + re @ pi.T + bi))) <= 1e-12
+
+
+# ---- what a recorded op keeps --------------------------------------------
+
+
+def _kept_bytes(fn):
+    """fn()'s result and the bytes of memory it still holds (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_recorded_lstm_group_keeps_only_its_states():
+    """Four recurrences keep h_0 .. h_S and c_0 .. c_S, not their
+    (K, S, N, 4H) gate activations too."""
+    rng = np.random.default_rng(90)
+    k, s, n, i, hd = 4, 20, 32, 8, 16
+    xs = [as_var(rng.normal(size=(s, n, i))) for _ in range(k)]
+    op = lstm_operand([(as_var(0.4 * rng.normal(size=(4 * hd, i))),
+                        as_var(0.4 * rng.normal(size=(4 * hd, hd))),
+                        as_var(rng.normal(size=4 * hd)), as_var(rng.normal(size=4 * hd)),
+                        j % 2 == 1) for j in range(k)])
+    (ys, finals), kept = _kept_bytes(lambda: lstm_group(xs, op, [None] * k))
+    states = 2 * k * (s + 1) * n * hd * 8   # hs and cs, float64
+    assert kept <= 1.1 * states, (kept, states)
+
+
+def _df_inputs(rng, t, t_target, dtype, f=7):
+    cr, ci = rng.normal(size=(2, 9, t, f)).astype(dtype)
+    tr, ti = rng.normal(size=(2, 1, t_target, f)).astype(dtype)
+    return cr, ci, tr, ti
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("context", [False, True])
+def test_deep_filter_arrays_match_graph(dtype, context):
+    rng = np.random.default_rng(91)
+    cr, ci, tr, ti = _df_inputs(rng, 6, 8 if context else 6, dtype)
+    _assert_same_bits(*_both_paths(
+        lambda: deep_filter_apply(ComplexPair(cr, ci), ComplexPair(tr, ti))))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_prelu_arrays_match_graph(dtype):
+    rng = np.random.default_rng(92)
+    x = rng.normal(size=(3, 5, 7)).astype(dtype)
+    x[0, 0, :3] = (0.0, -0.0, 0.0)
+    alpha = rng.normal(size=(3, 1, 1)).astype(dtype)
+    _assert_same_bits(*_both_paths(lambda: prelu(x, alpha)))
+
+
+def test_recorded_prelu_keeps_only_its_output():
+    rng = np.random.default_rng(93)
+    x, alpha = as_var(rng.normal(size=(4, 50, 40))), as_var(rng.normal(size=(4, 1, 1)))
+    out, kept = _kept_bytes(lambda: prelu(x, alpha))
+    assert kept <= 1.25 * out.data.nbytes, (kept, out.data.nbytes)
+
+
+@pytest.mark.parametrize("context", [False, True])
+def test_recorded_deep_filter_keeps_only_its_output(context):
+    rng = np.random.default_rng(94)
+    t = 100
+    cr, ci, tr, ti = (as_var(a) for a in
+                      _df_inputs(rng, t, t + 2 if context else t, np.float64, f=40))
+    coef, target = ComplexPair(cr, ci), ComplexPair(tr, ti)
+    out, kept = _kept_bytes(lambda: deep_filter_apply(coef, target))
+    parts = out.re.data.nbytes + out.im.data.nbytes
+    assert kept <= 1.25 * parts, (kept, parts)
+
+
+def prelu_composed(x, alpha):
+    """PReLU as a composition of Var products: x*mask + alpha*(x*(1-mask))."""
+    mask = (value(x) >= 0).astype(x.dtype)
+    return x * mask + alpha * (x * (1.0 - mask))
+
+
+def deep_filter_composed(coef, target):
+    """The deep filter's tap sum as a composition of Var slices and products."""
+    _, t, f = coef.shape
+    pad_t = 1 if target.shape[1] == t else 0
+    tp_re, tp_im = (pad(v, ((0, 0), (pad_t, pad_t), (1, 1))) for v in (target.re, target.im))
+    out_re = out_im = 0.0
+    for i in (-1, 0, 1):
+        for j in (-1, 0, 1):
+            ch = 3 * (i + 1) + (j + 1)
+            sr = tp_re[0, 1 + j:1 + j + t, 1 + i:1 + i + f]
+            si = tp_im[0, 1 + j:1 + j + t, 1 + i:1 + i + f]
+            cr, ci = coef.re[ch], coef.im[ch]
+            out_re = out_re + (cr * sr - ci * si)
+            out_im = out_im + (cr * si + ci * sr)
+    return ComplexPair(out_re.reshape(1, t, f), out_im.reshape(1, t, f))
+
+
+def _grads_of(fn, arrays, project):
+    """fn's output projected onto fixed random weights, differentiated with
+    respect to every input array."""
+    vs = [as_var(a) for a in arrays]
+    project(fn(*vs)).backward()
+    return [v.grad for v in vs]
+
+
+def test_prelu_gradients_match_the_composition():
+    rng = np.random.default_rng(95)
+    x, alpha = rng.normal(size=(3, 6, 5)), rng.normal(size=(3, 1, 1))
+    r = rng.normal(size=x.shape)
+    fused = _grads_of(prelu, (x, alpha), lambda y: (y * r).sum())
+    ref = _grads_of(prelu_composed, (x, alpha), lambda y: (y * r).sum())
+    for a, b in zip(fused, ref):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("context", [False, True])
+def test_deep_filter_gradients_match_the_composition(context):
+    rng = np.random.default_rng(96)
+    arrays = _df_inputs(rng, 5, 7 if context else 5, np.float64)
+    r1, r2 = rng.normal(size=(2, 1, 5, 7))
+
+    def run(df):
+        return lambda cr, ci, tr, ti: df(ComplexPair(cr, ci), ComplexPair(tr, ti))
+
+    def project(out):
+        return (out.re * r1).sum() + (out.im * r2).sum()
+
+    fused = _grads_of(run(deep_filter_apply), arrays, project)
+    ref = _grads_of(run(deep_filter_composed), arrays, project)
+    for a, b in zip(fused, ref):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
