@@ -254,6 +254,9 @@ class Var:
     # ---- backward --------------------------------------------------------
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every leaf's grad.  A graph is
+        backpropagated once: each node drops its parents and its closure once
+        its backward has run, so the graph is freed as backward proceeds."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         order = []
@@ -272,10 +275,12 @@ class Var:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None  # interior gradients are no longer needed
+            node._prev, node._backward = (), None
 
 
 # ---- free functions ------------------------------------------------------

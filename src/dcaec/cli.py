@@ -102,6 +102,10 @@ def _print_report(report):
 # ---- subcommands ---------------------------------------------------------
 
 
+def _peak_rss_mb():  # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def cmd_process(args):
     mic = read_wav(args.mic)
     far = read_wav(args.farend)
@@ -132,6 +136,7 @@ def cmd_process(args):
     rep["audio_seconds"] = mic.duration
     rep["clipped_samples"] = clipped
     rep["threads_pinned"] = pinned
+    rep["peak_rss_mb"] = _peak_rss_mb()
     _print_report(rep)
 
 
@@ -271,11 +276,9 @@ def cmd_traintoy(args):
     if args.out:
         save_weights(args.out, trained)
         print(f"saved trained weights to {args.out}")
-    # ru_maxrss is in KiB on Linux
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"loss {log[0]['loss']:.3f} -> {log[-1]['loss']:.3f} "
           f"over {args.steps} steps (threads_pinned: {str(pinned).lower()}, "
-          f"peak_rss_mb: {peak_mb:.1f})")
+          f"peak_rss_mb: {_peak_rss_mb():.1f})")
 
 
 def cmd_bench(args):

@@ -7,7 +7,7 @@ produces a complex mask that multiplies the microphone spectrum.  The
 network is wired once, as two stages over blocks of frames (see
 `encode_stage` and `mask_stage`), for offline, streaming and training use.
 Inference runs one way: offline `forward` is a `StreamingSession` fed the
-whole signal as one block.
+signal in blocks of BLOCK_FRAMES frames.
 """
 
 import hashlib
@@ -38,6 +38,7 @@ class WeightError(ValueError):
 
 
 MASK_CLAMP = 100.0
+BLOCK_FRAMES = 16  # hops per block of an offline `forward`: its memory is set by the block
 
 
 def _conv_row(s: ConvSpec):
@@ -309,9 +310,9 @@ def _leaves(states):
 # The convolutions are frame-local, the T-LSTM and the cLSTM carry state and
 # the deep filter looks one frame ahead, so the network is two stages over a
 # block of T >= 1 frames of B sequences, with explicit carried state.
-# `StreamingSession` runs them once per block (each hop's frame, or all the
-# frames of an offline `forward`) and training once over a batch.  The
-# frames of the B sequences share one axis, sequence by sequence:
+# `StreamingSession` runs them once per block (each hop's frame, or up to
+# BLOCK_FRAMES frames of an offline `forward`) and training once over a
+# batch.  The frames of the B sequences share one axis, sequence by sequence:
 # (C, B*T, F).  Kernels are called through this module's names so that
 # profilers can patch them here.
 
@@ -457,19 +458,26 @@ def forward(y: AudioBuffer, x: AudioBuffer, store: WeightStore, cfg: ModelConfig
             report=None):
     """Offline inference: (mic, farend) -> (mask, estimated near-end signal).
 
-    A StreamingSession fed the whole signal at once and finished, so offline
-    and streaming output come from the same code.  report: optional dict that
-    receives mask_clamped_bins, the number of mask bins whose magnitude was
-    limited to MASK_CLAMP.
+    A StreamingSession fed the signal in blocks of BLOCK_FRAMES hops and
+    finished, so offline and streaming output come from the same code, and
+    memory beyond the output is set by the block.  report: optional dict that
+    receives mask_clamped_bins, the number of mask bins limited to MASK_CLAMP.
     """
     sess = StreamingSession(store, cfg)
     for buf in (y, x):
         if buf.sample_rate != cfg.stft.sample_rate:
             raise SampleRateError(
                 f"sample rate {buf.sample_rate} != configured {cfg.stft.sample_rate}")
-    sess.n_fed = max(len(y), len(x))  # the shorter input is zero-padded
-    sess.pending = np.stack([np.pad(b.samples, (0, sess.n_fed - len(b))) for b in (y, x)])
-    m_re, m_im, s_hat = sess._finish()
+    n = max(len(y), len(x))  # the shorter input is zero-padded
+    step = BLOCK_FRAMES * sess.hop
+    blocks = []
+    for lo in range(0, max(n, 1), step):  # one block or more; the last takes the rest
+        chunk = np.zeros((2, min(step, n - lo)))
+        for row, buf in zip(chunk, (y, x)):
+            part = buf.samples[lo:lo + step]
+            row[:len(part)] = part
+        blocks.append(sess._take(chunk) if lo + step < n else sess._finish(chunk))
+    m_re, m_im, s_hat = (np.concatenate(parts) for parts in zip(*blocks))
     if report is not None:
         report["mask_clamped_bins"] = sess.mask_clamped_bins
     return MaskSpec(m_re, m_im), AudioBuffer(s_hat, cfg.stft.sample_rate)
@@ -489,7 +497,7 @@ class StreamingSession:
     carries the T-LSTM and cLSTM states, the deep filter's context (the last
     two frames' spectra and decoder outputs) and the overlap-add tail, so
     memory stays flat.  `feed` runs one hop, `flush` the zero-padded tail and
-    offline `forward` the whole signal as one block.  A block's layer outputs
+    offline `forward` blocks of BLOCK_FRAMES hops.  A block's layer outputs
     and carried states are checked for finiteness before the session takes
     them on.
     """
@@ -592,7 +600,7 @@ class StreamingSession:
     def feed(self, y_chunk, x_chunk):
         """Feed aligned hop-sized (160-sample) chunks; returns output samples.
 
-        The chunk runs as one block, as `forward` runs a whole signal: a chunk
+        The chunk runs as one block, as `forward` runs its blocks: a chunk
         with a non-finite sample, or one whose frame turns non-finite inside
         the network, raises NumericError and leaves the session as it was.
         """
@@ -602,22 +610,25 @@ class StreamingSession:
             raise RuntimeError("session already flushed")
         if len(y_chunk) != self.hop or len(x_chunk) != self.hop:
             raise ValueError(f"chunks must be {self.hop} samples")
-        out = self._run(np.concatenate([self.pending, np.stack([y_chunk, x_chunk])], axis=1),
-                        last=False)[2]
-        self.n_fed += self.hop
+        return self._take(np.stack([y_chunk, x_chunk]))[2]
+
+    def _take(self, chunk):
+        """`_run` the pending samples and the (2, n) chunk after them."""
+        out = self._run(np.concatenate([self.pending, chunk], axis=1), last=False)
+        self.n_fed += chunk.shape[1]
         return out
 
     def flush(self):
         """Complete the tail; returns the remaining output samples."""
         if self.done:
             return np.zeros(0)
-        return self._finish()[2]
+        return self._finish(np.zeros((2, 0)))[2]
 
-    def _finish(self):
-        """Zero-pad the pending samples to the signal's last frame and run them
-        as the last block."""
+    def _finish(self, chunk):
+        """Zero-pad the pending samples and the (2, n) chunk after them to the
+        signal's last frame and run them as the last block."""
         self.done = True
+        self.n_fed += chunk.shape[1]
         need = (self.cfg.stft.n_frames(self.n_fed) - 1) * self.hop + self.win - self.n_fed
-        # replaced, not kept beside its padded copy: offline, it is the whole signal
-        self.pending = np.pad(self.pending, ((0, 0), (0, need)))
+        self.pending = np.pad(np.concatenate([self.pending, chunk], axis=1), ((0, 0), (0, need)))
         return self._run(self.pending, last=True)

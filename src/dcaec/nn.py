@@ -358,15 +358,6 @@ class FtLstmParams(NamedTuple):
     proj_t: tuple   # per part, linear_operand of (C, H) and (C,)
 
 
-def _f_stage(xf, p: FtLstmParams):
-    """Both parts' F-stage: xf (F, N, C) per part -> u (F, N, C) per part.
-
-    The four recurrences (re/im x forward/backward) step together."""
-    ys, _ = lstm_group([x for x in xf for _ in (0, 1)], p.f, [None] * 4)
-    return [linear(concat(ys[2 * j:2 * j + 2], axis=2), *proj)
-            for j, proj in enumerate(p.proj_f)]
-
-
 def ft_lstm_block(h: ComplexPair, p: FtLstmParams, t_states=None):
     """Frequency-then-time recurrence with residual adds, separate per part.
 
@@ -378,21 +369,11 @@ def ft_lstm_block(h: ComplexPair, p: FtLstmParams, t_states=None):
     c, f, t = shape[0], shape[1], shape[-1]
     xs = [lift(x).reshape(c, f, -1, t) for x in (h.re, h.im)]   # (C, F, B, T)
     b = xs[0].shape[2]
-    # F-stage: bidirectional along frequency, each frame independent.
+    # F-stage: bidirectional along frequency, each frame independent; the four
+    # recurrences (re/im x forward/backward) step together.
     xf = [x.transpose(1, 2, 3, 0).reshape(f, b * t, c) for x in xs]  # seq F, batch B*T
-    if isinstance(xf[0], Var):  # training: one graph over all frames
-        u = _f_stage(xf, p)
-    else:
-        # up to four slices of frames, each projected before the next, keep
-        # the four recurrences' gate buffers at one recurrence's size.  A
-        # slice has two frames or more: one frame would multiply through
-        # gemv, whose sums round differently from gemm's.
-        n = b * t
-        k = max(1, min(4, n // 2))
-        edges = [n * i // k for i in range(k + 1)]
-        pieces = [_f_stage([x[:, lo:hi] for x in xf], p)
-                  for lo, hi in zip(edges, edges[1:])]
-        u = [np.concatenate(ps, axis=1) for ps in zip(*pieces)]
+    ys, _ = lstm_group([x for x in xf for _ in (0, 1)], p.f, [None] * 4)
+    u = [linear(concat(ys[2 * j:2 * j + 2], axis=2), *proj) for j, proj in enumerate(p.proj_f)]
     outs, states = [], []
     for x, uj, t_op, proj, st in zip(xs, u, p.t, p.proj_t, t_states or (None, None)):
         v = x + uj.reshape(f, b, t, c).transpose(3, 0, 1, 2)  # residual, (C, F, B, T)

@@ -322,6 +322,20 @@ def test_shared_subexpression_accumulates():
     np.testing.assert_allclose(p.grad, [8.0])
 
 
+def test_backward_releases_the_graph():
+    """Each node lets go of its parents and closure once its backward has
+    run; the leaves keep gradients equal to the hand-derived ones."""
+    rng = np.random.default_rng(3)
+    p, q = as_var(rng.normal(size=(2, 3))), as_var(rng.normal(size=(2, 3)))
+    y = p * p  # shared by both terms
+    loss = (y * q + y).sum()
+    loss.backward()
+    np.testing.assert_allclose(p.grad, 2 * p.data * (q.data + 1), rtol=1e-15)
+    np.testing.assert_allclose(q.grad, p.data ** 2, rtol=1e-15)
+    for node in (loss, y):
+        assert node._prev == () and node._backward is None
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
 def test_mul_add_gradients_random_shapes(n, m, seed):

@@ -66,6 +66,7 @@ def test_process_silence_to_silence(tmp_path, desk_weights, capsys):
     rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep["mode"] == "offline"
     assert rep["rtf"] > 0
+    assert rep["peak_rss_mb"] > 0
     _check_threads_pinned(rep)
     from dcaec.wavio import read_wav
     assert np.max(np.abs(read_wav(out).samples)) <= 1.0 / 32768.0
@@ -81,6 +82,7 @@ def test_process_streaming_report(tmp_path, desk_weights, capsys):
     rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep["mode"] == "streaming"
     assert rep["latency_samples"] <= 640
+    assert rep["peak_rss_mb"] > 0
     _check_threads_pinned(rep)
 
 

@@ -210,6 +210,49 @@ def test_forward_on_empty_input_gives_empty_output():
     assert StreamingSession(store, DESK).flush().size == 0
 
 
+@pytest.mark.parametrize("last_frames", [None, 1, 2, 16])
+def test_forward_blocks_match_one_block(monkeypatch, last_frames):
+    """forward runs blocks of BLOCK_FRAMES hops, the last with the rest of the
+    signal: 1, 2 or BLOCK_FRAMES frames after two blocks.  The result stays
+    that of one block over the whole signal.  None is the empty input."""
+    hop, step = DESK.stft.hop, model.BLOCK_FRAMES * DESK.stft.hop
+    n = 0 if last_frames is None else 2 * step + last_frames * hop
+    if n:  # the first block holds one frame less: its frames need a whole window
+        assert DESK.stft.n_frames(n) - (2 * model.BLOCK_FRAMES - 1) == last_frames
+    store = init_weights(DESK, seed=0)
+    rng = np.random.default_rng(12)
+    for part in ("br", "bi"):  # about half the mask bins reach the clamp
+        store.tensors[f"clstm0.proj.{part}"][:] = rng.normal(0, model.MASK_CLAMP, DESK.n_bins)
+    y, x = (AudioBuffer(0.1 * rng.normal(size=n)) for _ in range(2))
+    runs = []
+    for frames in (model.BLOCK_FRAMES, DESK.stft.n_frames(n) + 1):
+        monkeypatch.setattr(model, "BLOCK_FRAMES", frames)
+        rep = {}
+        runs.append((*forward(y, x, store, DESK, report=rep), rep["mask_clamped_bins"]))
+    (mask, s_hat, clamped), (one_mask, one_s, one_clamped) = runs
+    assert clamped == one_clamped and (n == 0 or 0 < clamped < mask.re.size)
+    # relative too: a float32 mask bin near the clamp of 100 has an ulp of 7.6e-6
+    for a, b in ((mask.re, one_mask.re), (mask.im, one_mask.im), (s_hat.samples, one_s.samples)):
+        np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
+
+
+def test_forward_memory_is_set_by_the_block():
+    """A paper-mode forward's peak does not grow with the file."""
+    store = init_weights(PAPER, seed=0)
+    forward(*_signals(seconds=0.25, seed=13), store, PAPER)  # fill allocation caches
+
+    def peak(seconds):
+        y, x = _signals(seconds=seconds, seed=13)
+        tracemalloc.start()
+        try:
+            forward(y, x, store, PAPER)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4.0) <= 1.15 * peak(1.0)
+
+
 def test_apply_mask_identity_and_zero():
     y, _ = _signals()
     spec = stft(y, DESK.stft)

@@ -518,8 +518,7 @@ COLUMNS = [1, 2, 3, 5, 9]
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n", COLUMNS)
 def test_ft_lstm_block_arrays_match_graph(dtype, n):
-    """n frame columns: the array path steps the F-stage in slices of
-    ceil(n / 4) columns, the graph path in one."""
+    """n frame columns: both paths run the F-stage over all of them at once."""
     rng = np.random.default_rng(30 + n)
     c, f, hd = 6, 7, 8
     p_re, p_im = _ft_params(rng, c, hd, dtype), _ft_params(rng, c, hd, dtype)
