@@ -12,12 +12,13 @@ over every entry would be needlessly slow without adding coverage).
 
 import numpy as np
 
-from .autodiff import as_var
+from .autodiff import as_var, concat
 from .dsp import AudioBuffer, StftConfig
 from .metrics import ChunkPlan, seg_sisnr, si_snr
 from .model import ModelConfig, init_weights, layer_operands
 from .nn import (ComplexPair, ConvSpec, complex_conv2d, complex_deconv2d, complex_lstm,
-                 conv_operand, deep_filter_apply, ft_lstm_block, lstm_seq, prelu)
+                 conv_operand, deep_filter_apply, ft_lstm_block, lstm_group, lstm_seq,
+                 prelu)
 from .training import backward, example_loss, finite_diff, rel_error
 
 # 17 bins -> 7 at the bottleneck -> 17
@@ -83,9 +84,13 @@ def check_lstm(rng, bidirectional):
 
     def loss(p):
         ft = _operands(p)["ft"]
-        # the F-stage group runs the real part's two directions first
-        y, _ = lstm_seq(p["x"], ft.f if bidirectional else ft.t[0])
-        return (y[..., :r.shape[-1]] * r).sum()
+        if bidirectional:
+            # the F-stage group runs the real part's two directions first
+            ys, _ = lstm_group([p["x"]] * 4, ft.f, [None] * 4)
+            y = concat(ys[:2], axis=2)
+        else:
+            y, _ = lstm_seq(p["x"], ft.t[0])
+        return (y * r).sum()
 
     return _check(loss, arrays)
 

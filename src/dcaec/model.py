@@ -417,9 +417,9 @@ def batch_mask_graph(y_specs, x_specs, params, cfg: ModelConfig, note=_no_note):
     return m
 
 
-def params_as_vars(store: WeightStore, dtype=np.float64):
-    """Tensors as Vars, for gradient work."""
-    return {k: as_var(np.asarray(v, dtype=dtype)) for k, v in store.tensors.items()}
+def params_as_vars(store: WeightStore):
+    """Tensors as float64 Vars, for gradient work."""
+    return {k: as_var(np.asarray(v, dtype=np.float64)) for k, v in store.tensors.items()}
 
 
 def apply_mask(y: ComplexSpec, m: MaskSpec) -> ComplexSpec:
@@ -476,7 +476,7 @@ def forward(y: AudioBuffer, x: AudioBuffer, store: WeightStore, cfg: ModelConfig
         for row, buf in zip(chunk, (y, x)):
             part = buf.samples[lo:lo + step]
             row[:len(part)] = part
-        blocks.append(sess._take(chunk) if lo + step < n else sess._finish(chunk))
+        blocks.append(sess._run(chunk, last=lo + step >= n))
     m_re, m_im, s_hat = (np.concatenate(parts) for parts in zip(*blocks))
     if report is not None:
         report["mask_clamped_bins"] = sess.mask_clamped_bins
@@ -545,16 +545,23 @@ class StreamingSession:
         _finite_check("in the cLSTM states", _leaves(states))
         return m.re, m.im, states
 
-    def _run(self, samples, last):
-        """Run every whole frame of (2, n) samples as one block; with last, the
-        frame after them is the zero lookahead past the signal.
+    def _run(self, chunk, last):
+        """Run the pending samples and the (2, n) chunk after them as one
+        block: their whole frames, or with last all of them, zero-padded to
+        the signal's last frame and followed by the zero lookahead past it.
 
         Returns the block's clamped mask (M, F) and its finished samples.  The
         session takes on the block's state only once all of it has passed its
         checks.
         """
-        if not np.all(np.isfinite(samples)):
+        # the pending samples were checked when they arrived
+        if not np.all(np.isfinite(chunk)):
             raise NumericError("non-finite values in the input")
+        n_fed = self.n_fed + chunk.shape[1]
+        samples = np.concatenate([self.pending, chunk], axis=1)
+        if last:
+            need = (self.cfg.stft.n_frames(n_fed) - 1) * self.hop + self.win - n_fed
+            samples = np.pad(samples, ((0, 0), (0, need)))
         spec = self._analysis(samples)
         t = spec.shape[1]
         frames, t_states = [self.context], self.t_states
@@ -572,8 +579,8 @@ class StreamingSession:
         frames = np.concatenate(frames, axis=1)
         # a frame is masked once a frame follows it
         mask = self._mask_frame(frames) if frames.shape[1] > 2 else None
-        self.pending, self.t_states = samples[:, t * self.hop:], t_states
-        self.context = frames[:, -2:]
+        self.pending, self.n_fed, self.done = samples[:, t * self.hop:], n_fed, last
+        self.t_states, self.context = t_states, frames[:, -2:]
         if mask is None:
             empty = np.zeros((0, self.cfg.n_bins), dtype=np.float32)
             return empty, empty, np.zeros(0)
@@ -610,25 +617,14 @@ class StreamingSession:
             raise RuntimeError("session already flushed")
         if len(y_chunk) != self.hop or len(x_chunk) != self.hop:
             raise ValueError(f"chunks must be {self.hop} samples")
-        return self._take(np.stack([y_chunk, x_chunk]))[2]
-
-    def _take(self, chunk):
-        """`_run` the pending samples and the (2, n) chunk after them."""
-        out = self._run(np.concatenate([self.pending, chunk], axis=1), last=False)
-        self.n_fed += chunk.shape[1]
-        return out
+        return self._run(np.stack([y_chunk, x_chunk]), last=False)[2]
 
     def flush(self):
-        """Complete the tail; returns the remaining output samples."""
+        """Complete the tail; returns the remaining output samples.
+
+        A block refused by `feed` or by `flush` raises NumericError and leaves
+        the session as it was, so a refused flush can be retried.
+        """
         if self.done:
             return np.zeros(0)
-        return self._finish(np.zeros((2, 0)))[2]
-
-    def _finish(self, chunk):
-        """Zero-pad the pending samples and the (2, n) chunk after them to the
-        signal's last frame and run them as the last block."""
-        self.done = True
-        self.n_fed += chunk.shape[1]
-        need = (self.cfg.stft.n_frames(self.n_fed) - 1) * self.hop + self.win - self.n_fed
-        self.pending = np.pad(np.concatenate([self.pending, chunk], axis=1), ((0, 0), (0, need)))
-        return self._run(self.pending, last=True)
+        return self._run(np.zeros((2, 0)), last=True)[2]

@@ -306,16 +306,9 @@ def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
 
 
 def lstm_seq(x, op: LstmGroup, state=None):
-    """Every recurrence of op over x (S, B, I): one (a unidirectional LSTM)
-    returns (y (S, B, H), (h, c)); several (a bidirectional LSTM) run the
-    full sequence only and return (y (S, B, K*H), None), with state None.
-    """
-    k = len(op.reverse)
-    if k > 1 and state is not None:
-        raise ValueError("bidirectional LSTM has no streaming state")
-    ys, states = lstm_group([x] * k, op, [state] * k)
-    if k > 1:
-        return concat(ys, axis=2), None
+    """The one recurrence of op over x (S, B, I); returns y (S, B, H) and the
+    final (h, c)."""
+    ys, states = lstm_group([x], op, [state])
     return ys[0], states[0]
 
 

@@ -349,10 +349,35 @@ def test_streaming_overflow_raises_and_changes_nothing():
     for i in range(0, len(y), hop):
         yc, xc = y.samples[i:i + hop], x.samples[i:i + hop]
         if i == 10 * hop:
-            with pytest.raises(NumericError):
+            with pytest.raises(NumericError), pytest.warns(RuntimeWarning):
                 hit.feed(np.full(hop, 1e39), xc)
         np.testing.assert_array_equal(hit.feed(yc, xc), clean.feed(yc, xc))
     np.testing.assert_array_equal(hit.flush(), clean.flush())
+
+
+def test_failed_flush_changes_nothing(monkeypatch):
+    """A flush refused inside the network leaves the session unflushed: a
+    retried flush gives what a clean session's flush gives."""
+    store = init_weights(DESK, seed=0)
+    y, x = _signals(seconds=0.1, seed=14)
+    hop = DESK.stft.hop
+    clean = StreamingSession(store, DESK)
+    hit = StreamingSession(store, DESK)
+    for i in range(0, len(y), hop):
+        for sess in (clean, hit):
+            sess.feed(y.samples[i:i + hop], x.samples[i:i + hop])
+    orig = model.complex_lstm
+
+    def refuse_once(*args, **kwargs):
+        monkeypatch.setattr(model, "complex_lstm", orig)
+        raise NumericError("refused for the test")
+
+    monkeypatch.setattr(model, "complex_lstm", refuse_once)
+    with pytest.raises(NumericError):
+        hit.flush()
+    assert model.complex_lstm is orig and not hit.done
+    tail = hit.flush()
+    assert tail.size and np.array_equal(tail, clean.flush())
 
 
 def test_clamped_mask_bins_counted_offline_and_streaming():

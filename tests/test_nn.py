@@ -320,24 +320,23 @@ def test_lstm_state_carry_equivalence():
 
 
 def test_bidirectional_lstm_reverses_cleanly():
+    """A group of a forward and a reverse recurrence over one input, as the
+    F-stage runs each part."""
     rng = np.random.default_rng(9)
     spec = rand_lstm_spec(rng, 2, 3, bidirectional=True)
     x = as_var(rng.normal(size=(6, 2, 2)))
-    y, st = lstm_seq(x, spec.operand())
-    assert st is None
-    assert y.shape == (6, 2, 3 * 2)
+    (y_fwd, y_rev), _ = lstm_group([x, x], spec.operand(), [None, None])
+    assert y_fwd.shape == y_rev.shape == (6, 2, 3)
     # forward half matches the unidirectional run on the same weights
     uni = LstmSpec(2, 3, False, {k: v for k, v in spec.weights.items()
                                  if not k.endswith("_rev")})
     yf, _ = lstm_seq(x, uni.operand())
-    np.testing.assert_allclose(y.data[:, :, :3], yf.data, atol=1e-12)
+    np.testing.assert_allclose(y_fwd.data, yf.data, atol=1e-12)
     # backward half equals the forward run on the reversed sequence, reversed
     rev = LstmSpec(2, 3, False, {k[:-4]: v for k, v in spec.weights.items()
                                  if k.endswith("_rev")})
     yb, _ = lstm_seq(as_var(x.data[::-1].copy()), rev.operand())
-    np.testing.assert_allclose(y.data[:, :, 3:], yb.data[::-1], atol=1e-12)
-    with pytest.raises(ValueError):
-        lstm_seq(x, spec.operand(), state=(np.zeros((2, 3)), np.zeros((2, 3))))
+    np.testing.assert_allclose(y_rev.data, yb.data[::-1], atol=1e-12)
 
 
 def test_lstm_operand_layout():
@@ -546,7 +545,8 @@ def test_bidirectional_lstm_seq_arrays_match_graph(dtype, n):
     spec = rand_lstm_spec(rng, 5, 8, bidirectional=True)
     spec.weights = {k: v.astype(dtype) for k, v in spec.weights.items()}
     x = rng.normal(size=(6, n, 5)).astype(dtype)
-    _assert_same_bits(*_both_paths(lambda: lstm_seq(x, spec.operand())))
+    _assert_same_bits(*_both_paths(
+        lambda: lstm_group([x, x], spec.operand(), [None, None])))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
