@@ -6,6 +6,7 @@ microphone delay, gain dips and peak normalization.  All randomness lives in
 the recipe; synthesis is a pure function of (recipe, corpus).
 """
 
+import itertools
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -47,18 +48,59 @@ def sabine_absorption(room: RoomSpec):
     return alpha
 
 
+def _fft_size(n):
+    """The smallest 2**a * 3**b * 5**c >= n (n >= 1): sizes the FFT is fast at."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve(x, h):
+    """First len(x) samples of the linear convolution x * h, via the FFT.
+
+    y[i] sums h's nonzero taps against x[i - last : i - first + 1].  Where
+    that span of x is all zero, y[i] is exactly zero, as a direct convolution
+    gives it: the FFT would leave its roundoff there (about 1e-17 of the
+    peak), which the float32 network then carries through every silent
+    stretch at a cost in time.
+    """
+    n = len(x)
+    size = _fft_size(max(n + len(h) - 1, 1))
+    y = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[:n]
+    taps = np.flatnonzero(h)
+    first, last = (taps[0], taps[-1]) if taps.size else (n, n)
+    count = np.concatenate(([0], np.cumsum(x != 0)))  # nonzeros in x[:k]
+    i = np.arange(n)
+    span = count[np.clip(i + 1 - first, 0, n)] - count[np.clip(i - last, 0, n)]
+    y[span == 0] = 0.0
+    return y
+
+
+def _first_order(x, b0, b1, r):
+    """y[i] = r*y[i-1] + b0*x[i] + b1*x[i-1] from rest, as an FIR convolution.
+
+    The impulse response decays as r**k (0 < r < 1); it stops at the first k
+    where r**k is below float64 resolution, so the tail it drops is below
+    that resolution too, relative to the filter's gain.
+    """
+    last = int(np.ceil(np.log(np.finfo(float).eps) / np.log(r)))
+    k = np.arange(min(len(x), last + 1))
+    h = b0 * r ** k
+    h[1:] += b1 * r ** k[:-1]
+    return _convolve(x, h)
+
+
 def _highpass(x, fc, fs):
     """First-order high-pass (removes the image-method DC buildup)."""
     rc = 1.0 / (2.0 * np.pi * fc)
     a = rc / (rc + 1.0 / fs)
-    y = np.empty_like(x)
-    prev_x = 0.0
-    prev_y = 0.0
-    for i in range(len(x)):
-        prev_y = a * (prev_y + x[i] - prev_x)
-        prev_x = x[i]
-        y[i] = prev_y
-    return y
+    return _first_order(x, a, -a, a)
 
 
 def generate_rir(room: RoomSpec, highpass_hz=100.0) -> AudioBuffer:
@@ -79,22 +121,22 @@ def generate_rir(room: RoomSpec, highpass_hz=100.0) -> AudioBuffer:
     max_dist = room.rir_len * room.c
     n_max = np.ceil(max_dist / (2.0 * dims)).astype(int) + 1
     grids = [np.arange(-n, n + 1) for n in n_max]
-    nx, ny, nz = np.meshgrid(*grids, indexing="ij")
-    orders = np.stack([nx, ny, nz], axis=-1).reshape(-1, 3)
+    # beta ** hits for every wall-hit count an image can have
+    gain = beta ** np.arange(2 * n_max.sum() + 4)
     h = np.zeros(n_taps)
-    for px in (0, 1):
-        for py in (0, 1):
-            for pz in (0, 1):
-                p = np.array([px, py, pz])
-                pos = (1 - 2 * p) * src + 2.0 * orders * dims
-                dist = np.linalg.norm(pos - mic, axis=1)
-                keep = (dist <= max_dist) & (dist > 1e-6)
-                dist = dist[keep]
-                refl = (np.abs(orders[keep] - p) + np.abs(orders[keep])).sum(axis=1)
-                amp = beta ** refl / dist
-                delay = np.rint(dist / room.c * fs).astype(int)
-                inside = delay < n_taps
-                np.add.at(h, delay[inside], amp[inside])
+    for p in itertools.product((0, 1), repeat=3):
+        # the image grid is separable: per axis, each order's offset from
+        # the mic and its wall hits; add.at sums the images in the grid's C
+        # order, one at a time
+        rel = [(1 - 2 * q) * s + 2.0 * g * w - m
+               for q, s, g, w, m in zip(p, src, grids, dims, mic)]
+        hits = [np.abs(g - q) + np.abs(g) for q, g in zip(p, grids)]
+        sq = [r * r for r in rel]
+        dist = np.sqrt(sq[0][:, None, None] + sq[1][:, None] + sq[2]).ravel()
+        refl = (hits[0][:, None, None] + hits[1][:, None] + hits[2]).ravel()
+        delay = np.rint(dist / room.c * fs).astype(int)
+        keep = (dist <= max_dist) & (dist > 1e-6) & (delay < n_taps)
+        np.add.at(h, delay[keep], gain[refl[keep]] / dist[keep])
     if highpass_hz > 0:
         h = _highpass(h, highpass_hz, fs)
     return AudioBuffer(h, fs)
@@ -263,12 +305,11 @@ def _fit_length(x, n):
 def active_mask(x, frame=160, floor_db=-60.0):
     """Per-sample activity mask from frame mean-square energy."""
     floor = 10.0 ** (floor_db / 10.0)
-    mask = np.zeros(len(x), dtype=bool)
-    for i in range(0, len(x), frame):
-        seg = x[i:i + frame]
-        if np.mean(seg ** 2) >= floor:
-            mask[i:i + len(seg)] = True
-    return mask
+    full = len(x) - len(x) % frame
+    energy = np.mean(np.reshape(x[:full] ** 2, (-1, frame)), axis=1)
+    if full < len(x):
+        energy = np.append(energy, np.mean(x[full:] ** 2))
+    return np.repeat(energy >= floor, frame)[:len(x)]
 
 
 def mix_at_ratio(target, interferer, ratio_db, region):
@@ -299,20 +340,19 @@ def synthesize(recipe: SceneRecipe, corpus: Corpus) -> SceneExample:
     # (1) optional near-end reverberation
     if recipe.reverb_applied and corpus.rirs:
         rir = corpus.rirs[recipe.rir_id].samples
-        s = np.convolve(s, rir)[:n]
+        s = _convolve(s, rir)
 
-    # echo: prerecorded when available, else far-end through an echo-path RIR
-    if recipe.far_clip in corpus.echo:
-        d = _fit_length(corpus.echo[recipe.far_clip].samples, n).copy()
-    elif corpus.rirs:
-        d = np.convolve(x, corpus.rirs[recipe.echo_rir_id].samples)[:n]
-    else:
-        d = x.copy()
-
-    # (2) near-end single-talk
+    # (2) near-end single-talk: no far end, so no echo to build
     if recipe.farend_zeroed:
         x = np.zeros(n)
         d = np.zeros(n)
+    # echo: prerecorded when available, else far-end through an echo-path RIR
+    elif recipe.far_clip in corpus.echo:
+        d = _fit_length(corpus.echo[recipe.far_clip].samples, n).copy()
+    elif corpus.rirs:
+        d = _convolve(x, corpus.rirs[recipe.echo_rir_id].samples)
+    else:
+        d = x.copy()
     if recipe.noise_zeroed:
         v = np.zeros(n)
 
@@ -407,13 +447,8 @@ def make_training_examples(rng, corpus: Corpus, count, seconds=1.0,
 
 def _speechlike(rng, n, pause_prob=0.35):
     """Amplitude-modulated low-passed noise with talk/pause structure."""
-    x = rng.normal(size=n)
     # one-pole lowpass for a speech-ish spectral tilt
-    out = np.empty(n)
-    acc = 0.0
-    for i in range(n):
-        acc = 0.85 * acc + 0.15 * x[i]
-        out[i] = acc
+    out = _first_order(rng.normal(size=n), 0.15, 0.0, 0.85)
     env = np.zeros(n)
     i = 0
     while i < n:

@@ -101,6 +101,8 @@ def load_weights(path) -> WeightStore:
         vals = np.frombuffer(take(4 * n), dtype="<f4").astype(np.float32).reshape(dims)
         if name == META_NAME:
             meta = json.loads(bytes(vals.astype(np.uint8)).decode("utf-8"))
+        elif not np.isfinite(vals).all():
+            raise WeightFormatError(f"tensor {name!r} holds a non-finite value")
         else:
             tensors[name] = vals
     if off != len(payload):

@@ -173,6 +173,22 @@ def test_process_corrupt_weights_exit_2(tmp_path, capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("streaming", [False, True])
+def test_process_non_finite_weights_exit_2(tmp_path, streaming, capsys):
+    """A NaN weight is refused at load as bad input, not met block by block."""
+    store = init_weights(ModelConfig.desk_mode(), seed=0)
+    store.tensors["enc0.kr"].flat[0] = np.nan
+    weights = tmp_path / "nan.bin"
+    save_weights(weights, store)
+    mic = _wav(tmp_path / "m.wav", 0.1 * np.ones(RATE // 4))
+    with pytest.raises(SystemExit) as e:
+        main(["process", "--mic", str(mic), "--farend", str(mic), "--weights", str(weights),
+              "--out", str(tmp_path / "o.wav")] + (["--streaming"] if streaming else []))
+    assert e.value.code == 2
+    assert "enc0.kr" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_weights_without_config_exit_2(tmp_path, capsys):
     from collections import OrderedDict
     from dcaec.model import WeightStore

@@ -100,6 +100,16 @@ def test_weight_meta_preserved(tmp_path):
     assert back.meta == {"note": "hello", "n": 3}
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_weight_non_finite_tensor_rejected(tmp_path, bad):
+    store = init_weights(ModelConfig.desk_mode(), seed=3)
+    store.tensors["enc0.kr"].flat[5] = bad
+    path = tmp_path / "w.bin"
+    save_weights(path, store)
+    with pytest.raises(WeightFormatError, match="enc0.kr"):
+        load_weights(path)
+
+
 def test_weight_bad_magic_rejected(tmp_path):
     path = tmp_path / "w.bin"
     save_weights(path, WeightStore(OrderedDict(a=np.zeros(3, dtype=np.float32))))

@@ -6,6 +6,7 @@ import pytest
 from dcaec.dsp import RATE, AudioBuffer
 from dcaec.metrics import measure_ratio
 from dcaec.scene import (Corpus, RoomSpec, SceneRanges, SceneRecipe,
+                         _convolve, _fft_size, _first_order, _highpass,
                          active_mask, generate_rir, make_training_examples,
                          mix_at_ratio, sabine_absorption, sample_recipe,
                          sample_room, schroeder_rt60, synthesize,
@@ -93,6 +94,152 @@ def test_active_mask_flags_silence():
     m = active_mask(x)
     assert m[:800].all()
     assert not m[800:].any()
+
+
+# ---- oracles: per-sample, per-frame and per-image references ------------
+
+
+def _loop_lowpass(x):
+    out = np.empty(len(x))
+    acc = 0.0
+    for i in range(len(x)):
+        acc = 0.85 * acc + 0.15 * x[i]
+        out[i] = acc
+    return out
+
+
+def _loop_highpass(x, fc, fs):
+    rc = 1.0 / (2.0 * np.pi * fc)
+    a = rc / (rc + 1.0 / fs)
+    y = np.empty_like(x)
+    prev_x = prev_y = 0.0
+    for i in range(len(x)):
+        prev_y = a * (prev_y + x[i] - prev_x)
+        prev_x = x[i]
+        y[i] = prev_y
+    return y
+
+
+def _loop_image_taps(room):
+    """Image taps before the high-pass: a linalg.norm per image, add.at per parity."""
+    beta = np.sqrt(1.0 - sabine_absorption(room))
+    fs = room.sample_rate
+    dims = np.asarray(room.dims, dtype=float)
+    src = np.asarray(room.source_pos, dtype=float)
+    mic = np.asarray(room.mic_pos, dtype=float)
+    n_taps = int(round(room.rir_len * fs))
+    max_dist = room.rir_len * room.c
+    n_max = np.ceil(max_dist / (2.0 * dims)).astype(int) + 1
+    grids = [np.arange(-n, n + 1) for n in n_max]
+    nx, ny, nz = np.meshgrid(*grids, indexing="ij")
+    orders = np.stack([nx, ny, nz], axis=-1).reshape(-1, 3)
+    h = np.zeros(n_taps)
+    for px in (0, 1):
+        for py in (0, 1):
+            for pz in (0, 1):
+                p = np.array([px, py, pz])
+                pos = (1 - 2 * p) * src + 2.0 * orders * dims
+                dist = np.linalg.norm(pos - mic, axis=1)
+                keep = (dist <= max_dist) & (dist > 1e-6)
+                dist = dist[keep]
+                refl = (np.abs(orders[keep] - p) + np.abs(orders[keep])).sum(axis=1)
+                amp = beta ** refl / dist
+                delay = np.rint(dist / room.c * fs).astype(int)
+                inside = delay < n_taps
+                np.add.at(h, delay[inside], amp[inside])
+    return h
+
+
+def _loop_active_mask(x, frame=160, floor_db=-60.0):
+    floor = 10.0 ** (floor_db / 10.0)
+    mask = np.zeros(len(x), dtype=bool)
+    for i in range(0, len(x), frame):
+        seg = x[i:i + frame]
+        if np.mean(seg ** 2) >= floor:
+            mask[i:i + len(seg)] = True
+    return mask
+
+
+def test_fft_size_is_the_next_5_smooth_number():
+    def smooth(k):
+        for f in (2, 3, 5):
+            while k % f == 0:
+                k //= f
+        return k == 1
+    for n in list(range(1, 2000)) + [23999, 71999, 100003]:
+        size = _fft_size(n)
+        assert size >= n and smooth(size)
+        assert not any(smooth(k) for k in range(n, size))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 9), (7, 1), (5, 40), (40, 5),
+                                  (1000, 1000), (4000, 8000), (16000, 8000)])
+def test_convolve_matches_direct(n, m):
+    rng = np.random.default_rng(n + m)
+    x, h = rng.normal(size=n), rng.normal(size=m)
+    ref = np.convolve(x, h)[:n]
+    got = _convolve(x, h)
+    assert got.shape == (n,)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("lead, trail", [(0, 0), (30, 0), (0, 30), (30, 30)])
+def test_convolve_is_exactly_zero_where_direct_is(lead, trail):
+    """Silent stretches stay exact zeros, not FFT roundoff, also where only
+    h's leading or trailing zero taps meet the signal."""
+    rng = np.random.default_rng(lead + 2 * trail)
+    x = rng.normal(size=3000)
+    x[500:1500] = 0.0           # silence longer than h
+    x[2000:2060] = 0.0          # silence shorter than h
+    x[2900:] = 0.0
+    h = np.concatenate([np.zeros(lead), rng.normal(size=100), np.zeros(trail)])
+    ref = np.convolve(x, h)[:len(x)]
+    got = _convolve(x, h)
+    np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    assert not _convolve(x, np.zeros(5)).any()
+    assert not _convolve(np.zeros(50), h).any()
+
+
+@pytest.mark.parametrize("n", [1, 5, 300, 20000])
+def test_first_order_filters_match_recurrence(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    x[n // 2:] *= 1e-3  # a loud start whose tail must decay away
+    lowpass = _loop_lowpass(x)
+    np.testing.assert_allclose(_first_order(x, 0.15, 0.0, 0.85), lowpass,
+                               rtol=0, atol=1e-12 * np.abs(lowpass).max())
+    for fc in (100.0, 20.0):
+        highpass = _loop_highpass(x, fc, RATE)
+        np.testing.assert_allclose(_highpass(x, fc, RATE), highpass, rtol=0,
+                                   atol=1e-12 * np.abs(highpass).max())
+
+
+def test_highpassed_rir_matches_recurrence():
+    taps = generate_rir(ROOM, highpass_hz=0.0).samples
+    ref = _loop_highpass(taps, 100.0, RATE)
+    np.testing.assert_allclose(generate_rir(ROOM).samples, ref, rtol=0,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+def test_image_taps_bitwise_equal_to_image_loop():
+    rng = np.random.default_rng(6)
+    for rir_len in (0.5, 0.3, 0.5):
+        room = sample_room(rng, rir_len)
+        np.testing.assert_array_equal(generate_rir(room, highpass_hz=0).samples,
+                                      _loop_image_taps(room))
+
+
+@pytest.mark.parametrize("n", [0, 1, 159, 160, 161, 1000, 1600])
+def test_active_mask_matches_frame_loop(n):
+    rng = np.random.default_rng(n)
+    # frame energies spread around the -60 dB floor, down to exact silence
+    level = 10.0 ** rng.uniform(-4.5, -1.5, size=n // 160 + 1)
+    x = rng.normal(size=n) * level.repeat(160)[:n]
+    x[n // 3:n // 2] = 0.0
+    np.testing.assert_array_equal(active_mask(x), _loop_active_mask(x))
+    np.testing.assert_array_equal(active_mask(x, frame=64, floor_db=-40.0),
+                                  _loop_active_mask(x, frame=64, floor_db=-40.0))
 
 
 def _single_clip_corpus(seed=0):
