@@ -323,6 +323,7 @@ def cmd_bench(args):
         "latency_samples": sess.algorithmic_latency,
         "latency_ms": 1000.0 * sess.algorithmic_latency / RATE,
         "params": count_params(store),
+        "peak_rss_mb": _peak_rss_mb(),
     })
 
 

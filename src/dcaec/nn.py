@@ -24,6 +24,17 @@ kept hidden and cell states.  The F-T block's F-stage (re/im x
 forward/backward) runs as K = 4, the complex LSTM's two recurrences (each
 over both parts) as K = 2, every other LSTM as K = 1.
 
+A group holds its gate inputs x @ w_ih^T + b for one span of steps at a
+time, never for the whole sequence: the span is as many steps as fit
+`SPAN_BYTES` in one (K, span, N, 4H) buffer, and at least one.  The forward
+fills the buffer once per span and runs the span's steps; the backward walks
+the spans from the end, rebuilds each span's gate inputs, runs its reverse
+steps and takes the span's share of every gradient.  So its memory does not
+grow with the sequence.  A streaming hop's groups fit in one span (the
+F-stage has batch 1, the T-stage and the complex LSTM one step), and a
+span's steps round exactly as they do in a longer one, so the span changes
+no forward output; the backward sums the weight gradients span by span.
+
 A recorded op keeps only what its backward reads: `prelu` and
 `deep_filter_apply` are one graph node each, which keeps its output and
 reads its inputs' values again in backward.
@@ -36,6 +47,14 @@ import numpy as np
 
 from .autodiff import (Var, _unbroadcast, concat, contiguous, fold, lift, multi_node, pad,
                        unfold, value)
+
+# The bytes of one LSTM group's gate buffer.  Below about 6 MiB a paper-mode
+# offline block page-faults afresh, as glibc's dynamic mmap threshold would
+# have it: the buffer is then no longer the block's largest transient array,
+# so the threshold stays low and the heap is trimmed after every block
+# (2 MiB on a 2-vCPU x86 VM: about 10600 minor faults and 27-35 ms of system
+# time per second of audio, some 8% of the blocks' time; 8 MiB: none).
+SPAN_BYTES = 8 << 20
 
 
 @dataclass
@@ -187,16 +206,29 @@ def lstm_cell(g, c_prev, c, a, tc, tmp, h):
     return np.multiply(a[..., 3 * hd:], tmp, out=h)
 
 
-def _gate_inputs(xd, w_ih, b, rev, out):
-    """x @ w_ih^T + b of every recurrence, written in place into out (K, S,
-    N, 4H), the reverse ones' scanned from the end, so that step t adds the
-    recurrent products to out[:, t]."""
-    k, s, n, h4 = out.shape
+def _span(k, s, n, h4, itemsize):
+    """The steps per gate buffer: as many as fit SPAN_BYTES, at least one."""
+    return max(1, min(s, SPAN_BYTES // (k * n * h4 * itemsize)))
+
+
+def _scan(x, rev, t0, m):
+    """Steps t0 .. t0 + m - 1 of x (S, ...) in scan order: a reverse
+    recurrence's counted from the end."""
+    return x[::-1][t0:t0 + m] if rev else x[t0:t0 + m]
+
+
+def _gate_inputs(xd, w_ih, b, rev, t0, out):
+    """x @ w_ih^T + b of every recurrence for the scan steps t0 .. t0 + m - 1,
+    written in place into out[:, :m] of out (K, span, N, 4H), with m the
+    steps left up to span.  Returns out[:, :m]: scan step t adds the
+    recurrent products to its row t - t0."""
+    k, span, n, h4 = out.shape
+    m = min(span, xd[0].shape[0] - t0)
     for j, (x, w) in enumerate(zip(xd, w_ih)):
-        x = x[::-1] if rev[j] else x
-        np.matmul(x.reshape(s * n, -1), w, out=out[j].reshape(s * n, h4))
-        out[j] += b[j]
-    return out
+        np.matmul(_scan(x, rev[j], t0, m).reshape(m * n, -1), w,
+                  out=out[j, :m].reshape(m * n, h4))
+        out[j, :m] += b[j]
+    return out[:, :m]
 
 
 def lstm_group(xs, op: LstmGroup, states):
@@ -220,7 +252,7 @@ def lstm_group(xs, op: LstmGroup, states):
     w_hh, b, rev = value(op.w_hh), value(op.b), op.reverse
     hd = w_hh.shape[1]
     dt = np.result_type(*xd, *w_ih, w_hh, b)
-    gx = _gate_inputs(xd, w_ih, b, rev, np.empty((k, s, n, 4 * hd), dt))
+    gx = np.empty((k, _span(k, s, n, 4 * hd, dt.itemsize), n, 4 * hd), dt)
     hs = np.empty((k, s + 1, n, hd), dt)   # h_0 .. h_S
     hs[:, 0] = 0.0
     cs = np.zeros((k, s + 1 if record else 1, n, hd), dt)   # c_0 .. c_S, or c
@@ -231,12 +263,14 @@ def lstm_group(xs, op: LstmGroup, states):
     tmp = np.empty((k, n, hd), dt)
     hw = np.empty((k, n, 4 * hd), dt)   # recurrent products
     c = cs[:, 0]
-    for t in range(s):
-        g = gx[:, t]
-        g += np.matmul(hs[:, t], w_hh, out=hw)
-        c_next = cs[:, t + 1] if record else c
-        lstm_cell(g, c, c_next, a, tmp, tmp, hs[:, t + 1])
-        c = c_next
+    for t0 in range(0, s, gx.shape[1]):
+        g_span = _gate_inputs(xd, w_ih, b, rev, t0, gx)
+        for t in range(t0, t0 + g_span.shape[1]):
+            g = g_span[:, t - t0]
+            g += np.matmul(hs[:, t], w_hh, out=hw)
+            c_next = cs[:, t + 1] if record else c
+            lstm_cell(g, c, c_next, a, tmp, tmp, hs[:, t + 1])
+            c = c_next
     ys = [hs[j, :0:-1] if rev[j] else hs[j, 1:] for j in range(k)]
     if not record:
         return ys, [(hs[j, s].copy(), cs[j, 0].copy()) for j in range(k)]
@@ -254,15 +288,17 @@ def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
     and then the K final c (None where none arrived).  Returns those of its
     inputs: the K x, the K w_ih^T, w_hh, b and each recurrence's h_0 and c_0.
 
-    The K recurrences step back through time together.  One (K, S, N, 4H)
-    buffer first holds x @ w_ih^T + b, as in the forward; each reverse step
+    The K recurrences step back through time together, one span of steps
+    (see _span) at a time from the end.  One (K, span, N, 4H) buffer first
+    holds the span's x @ w_ih^T + b, as in the forward; each reverse step
     adds its recurrent product and rebuilds that step's gate activations
     with the forward's ops, then overwrites the step with its gate
-    gradients.  Each dx and w_ih^T gradient is then one gemm per recurrence.
+    gradients.  The span's dx is then one gemm per recurrence, and its
+    terms are added to the w_ih^T, w_hh and b gradients.
     """
     k, s, n, hd = hs[:, 1:].shape
     h4, dt = 4 * hd, hs.dtype
-    dg = _gate_inputs(xd, w_ih, b, rev, np.empty((k, s, n, h4), dt))
+    buf = np.empty((k, _span(k, s, n, h4, dt.itemsize), n, h4), dt)
     # the output gradients in scan order, read in place
     dy = [(j, g[::-1] if rev[j] else g) for j, g in enumerate(gs[:k]) if g is not None]
     dc = np.zeros((k, n, hd), dt)
@@ -276,32 +312,38 @@ def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
     dh = np.zeros((k, n, hd), dt)   # dL/dh_t through step t + 1
     w_hh_t = np.ascontiguousarray(w_hh.transpose(0, 2, 1))   # (K, 4H, H)
     gi, gf, go = a[..., :hd], a[..., hd:2 * hd], a[..., 3 * hd:]
-    for t in range(s - 1, -1, -1):
-        d = dg[:, t]
-        d += np.matmul(hs[:, t], w_hh, out=hw)
-        _gate_activations(d, a, tc)
-        np.tanh(cs[:, t + 1], out=th)
-        for j, g in dy:
-            dh[j] += g[t]
-        np.subtract(1.0, a, out=slope)
-        slope *= a
-        np.subtract(1.0, tc * tc, out=slope[..., 2 * hd:3 * hd])
-        np.multiply(dh, th, out=d[..., 3 * hd:])
-        dc += dh * go * (1.0 - th * th)
-        np.multiply(dc, tc, out=d[..., :hd])
-        np.multiply(dc, cs[:, t], out=d[..., hd:2 * hd])
-        np.multiply(dc, gi, out=d[..., 2 * hd:3 * hd])
-        d *= slope
-        dc *= gf
-        np.matmul(d, w_hh_t, out=dh)
     # in scan order: a reverse recurrence's x is reversed, not its gradients
-    d_scan = dg.reshape(k, s * n, h4)
-    d_xs = [(d @ w.T).reshape(s, n, -1) for d, w in zip(d_scan, w_ih)]
-    return ([d_x[::-1] if r else d_x for d_x, r in zip(d_xs, rev)]
-            + [(x[::-1] if r else x).reshape(s * n, -1).T @ d
-               for x, r, d in zip(xd, rev, d_scan)]
-            + [hs[:, :s].reshape(k, s * n, hd).transpose(0, 2, 1) @ d_scan,
-               d_scan.sum(axis=1)]
+    d_xs = [np.empty((s, n, w.shape[0]), dt) for w in w_ih]
+    d_w_ih = [np.zeros(w.shape, dt) for w in w_ih]
+    d_w_hh, d_b = np.zeros((k, hd, h4), dt), np.zeros((k, h4), dt)
+    for t0 in reversed(range(0, s, buf.shape[1])):
+        dg = _gate_inputs(xd, w_ih, b, rev, t0, buf)
+        m = dg.shape[1]
+        for t in range(t0 + m - 1, t0 - 1, -1):
+            d = dg[:, t - t0]
+            d += np.matmul(hs[:, t], w_hh, out=hw)
+            _gate_activations(d, a, tc)
+            np.tanh(cs[:, t + 1], out=th)
+            for j, g in dy:
+                dh[j] += g[t]
+            np.subtract(1.0, a, out=slope)
+            slope *= a
+            np.subtract(1.0, tc * tc, out=slope[..., 2 * hd:3 * hd])
+            np.multiply(dh, th, out=d[..., 3 * hd:])
+            dc += dh * go * (1.0 - th * th)
+            np.multiply(dc, tc, out=d[..., :hd])
+            np.multiply(dc, cs[:, t], out=d[..., hd:2 * hd])
+            np.multiply(dc, gi, out=d[..., 2 * hd:3 * hd])
+            d *= slope
+            dc *= gf
+            np.matmul(d, w_hh_t, out=dh)
+        d_scan = dg.reshape(k, m * n, h4)
+        for j, (x, w, r) in enumerate(zip(xd, w_ih, rev)):
+            np.matmul(d_scan[j], w.T, out=d_xs[j][t0:t0 + m].reshape(m * n, -1))
+            d_w_ih[j] += _scan(x, r, t0, m).reshape(m * n, -1).T @ d_scan[j]
+        d_w_hh += hs[:, t0:t0 + m].reshape(k, m * n, hd).transpose(0, 2, 1) @ d_scan
+        d_b += d_scan.sum(axis=1)
+    return ([d_x[::-1] if r else d_x for d_x, r in zip(d_xs, rev)] + d_w_ih + [d_w_hh, d_b]
             + [g[j].copy() for j in range(k) for g in (dh, dc)])
 
 

@@ -34,36 +34,44 @@ class WeightFormatError(ValueError):
     pass
 
 
-def _checksum(payload: bytes) -> int:
+def _checksum(payload) -> int:
     return int(np.frombuffer(payload, dtype=np.uint8).sum(dtype=np.uint64)) % (1 << 64)
 
 
-def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
+def _header(name: str, arr: np.ndarray) -> bytes:
     name_b = name.encode("utf-8")
     if len(name_b) > 0xFFFF:
         raise WeightFormatError("tensor name too long")
     if arr.ndim > 0xFF:
         raise WeightFormatError("tensor rank too large")
-    head = struct.pack("<H", len(name_b)) + name_b
-    head += struct.pack("<B", arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return head + data
+    return (struct.pack("<H", len(name_b)) + name_b + struct.pack("<B", arr.ndim)
+            + struct.pack(f"<{arr.ndim}I", *arr.shape))
 
 
 def save_weights(path, store: WeightStore):
-    tensors = OrderedDict(store.tensors)
-    meta = dict(store.meta)
-    meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
-    payload = struct.pack("<I", VERSION)
-    payload += struct.pack("<I", len(tensors) + 1)
-    for name, arr in tensors.items():
-        payload += _pack_tensor(name, np.asarray(arr))
-    payload += _pack_tensor(META_NAME, np.frombuffer(meta_b, dtype=np.uint8).astype(np.float32))
+    """Writes each header and tensor straight to the file, summing the
+    checksum as it goes: no copy of the payload is made, and a tensor is
+    copied only if it is not little-endian float32 already."""
+    meta_b = json.dumps(dict(store.meta), sort_keys=True).encode("utf-8")
+    arrays = [np.asarray(arr) for arr in store.tensors.values()]
+    arrays.append(np.frombuffer(meta_b, dtype=np.uint8).astype(np.float32))
+    # every header first, so that a bad name or rank writes no file
+    heads = [_header(name, arr) for name, arr in zip([*store.tensors, META_NAME], arrays)]
+    check = 0
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(payload)
-        f.write(struct.pack("<Q", _checksum(payload)))
+        for piece in _pieces(struct.pack("<II", VERSION, len(heads)), heads, arrays):
+            f.write(piece)
+            check += _checksum(piece)
+        f.write(struct.pack("<Q", check % (1 << 64)))
+
+
+def _pieces(start, heads, arrays):
+    """The payload piece by piece, each tensor's values as a byte view."""
+    yield start
+    for head, arr in zip(heads, arrays):
+        yield head
+        yield np.ascontiguousarray(arr, dtype="<f4").reshape(-1).view(np.uint8)
 
 
 def load_weights(path) -> WeightStore:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcaec import nn
 from dcaec.autodiff import (Var, as_var, concat, dot, fold, log10, no_grad, pad,
                              unfold)
 from dcaec.nn import lstm_cell, lstm_group, lstm_operand
@@ -231,7 +232,9 @@ LSTM_GROUPS = {
 
 
 @pytest.mark.parametrize("case", sorted(LSTM_GROUPS))
-def test_lstm_group_gradients_match_per_step_graph(case):
+def test_lstm_group_gradients_match_per_step_graph(case, monkeypatch):
+    """At spans (nn.SPAN_BYTES) of one step, of two of the five steps, and
+    of all of them."""
     opts = LSTM_GROUPS[case]
     reverse = opts["reverse"]
     k, s, n, i, hd = len(reverse), 5, 3, 4, 3
@@ -277,15 +280,19 @@ def test_lstm_group_gradients_match_per_step_graph(case):
         out = lstm_graph_oracle(*group_args(p), hd)
         return loss([hs for hs, _ in out], [st for _, st in out])
 
-    p_fused = {name: as_var(a) for name, a in arrays.items()}
     p_oracle = {name: as_var(a) for name, a in arrays.items()}
-    l_fused, l_oracle = fused(p_fused), oracle(p_oracle)
-    np.testing.assert_allclose(l_fused.data, l_oracle.data, rtol=1e-12)
-    g_fused = backward(l_fused, p_fused)
+    l_oracle = oracle(p_oracle)
     g_oracle = backward(l_oracle, p_oracle)
-    for name in arrays:
-        assert np.any(g_oracle[name] != 0), name
-        assert rel_error(g_fused[name], g_oracle[name]) <= 1e-10, name
+    step_bytes = k * n * 4 * hd * 8
+    for span_bytes in (1, 2 * step_bytes, nn.SPAN_BYTES):
+        monkeypatch.setattr(nn, "SPAN_BYTES", span_bytes)
+        p_fused = {name: as_var(a) for name, a in arrays.items()}
+        l_fused = fused(p_fused)
+        np.testing.assert_allclose(l_fused.data, l_oracle.data, rtol=1e-12)
+        g_fused = backward(l_fused, p_fused)
+        for name in arrays:
+            assert np.any(g_oracle[name] != 0), name
+            assert rel_error(g_fused[name], g_oracle[name]) <= 1e-10, (name, span_bytes)
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*", "/", "@"])

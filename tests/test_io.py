@@ -1,6 +1,8 @@
 """WAV and weight-file round trips plus corruption handling."""
 
+import json
 import struct
+import tracemalloc
 import wave
 from collections import OrderedDict
 
@@ -89,6 +91,47 @@ def test_weight_round_trip_bit_exact(tmp_path):
         assert back.tensors[k].dtype == np.float32
     assert back.meta["config_hash"] == cfg.config_hash()
     validate_store(back, cfg)
+
+
+def _packed_in_memory(store):
+    """The weight file as one bytes object, packed the way the format
+    describes it: the reference save_weights must reproduce."""
+    def record(name, arr):
+        name_b = name.encode("utf-8")
+        return (struct.pack("<H", len(name_b)) + name_b + struct.pack("<B", arr.ndim)
+                + struct.pack(f"<{arr.ndim}I", *arr.shape)
+                + np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+    meta_b = json.dumps(dict(store.meta), sort_keys=True).encode("utf-8")
+    payload = struct.pack("<I", 1) + struct.pack("<I", len(store.tensors) + 1)
+    for name, arr in store.tensors.items():
+        payload += record(name, np.asarray(arr))
+    payload += record("__meta__", np.frombuffer(meta_b, dtype=np.uint8).astype(np.float32))
+    check = int(np.frombuffer(payload, dtype=np.uint8).sum(dtype=np.uint64)) % (1 << 64)
+    return b"DCAEC\0" + payload + struct.pack("<Q", check)
+
+
+def test_weight_file_bytes_match_reference_packer(tmp_path):
+    store = init_weights(ModelConfig.desk_mode(), seed=4)
+    store.meta["note"] = "reference"
+    path = tmp_path / "w.bin"
+    save_weights(path, store)
+    assert path.read_bytes() == _packed_in_memory(store)
+
+
+def test_save_weights_holds_no_copy_of_the_file(tmp_path):
+    """save_weights writes tensor by tensor: its allocations stay below the
+    size of the file it writes."""
+    store = init_weights(ModelConfig.desk_mode(), seed=5)
+    path = tmp_path / "w.bin"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_weights(path, store)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size // 2, (peak, path.stat().st_size)
 
 
 def test_weight_meta_preserved(tmp_path):

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from dcaec import nn
 from dcaec.autodiff import as_var, lift, no_grad, pad, value
 from dcaec.nn import (ComplexPair, ConvSpec, FtLstmParams,
                       complex_conv2d, complex_deconv2d, complex_linear,
@@ -549,6 +550,40 @@ def test_bidirectional_lstm_seq_arrays_match_graph(dtype, n):
         lambda: lstm_group([x, x], spec.operand(), [None, None])))
 
 
+def _rand_group(rng, k, s, n, i, hd, dtype):
+    """K inputs (S, N, I) and their lstm_operand, every other one reverse."""
+    xs = [rng.normal(size=(s, n, i)).astype(dtype) for _ in range(k)]
+    cells = [(0.4 * rng.normal(size=(4 * hd, i)).astype(dtype),
+              0.4 * rng.normal(size=(4 * hd, hd)).astype(dtype),
+              rng.normal(size=4 * hd).astype(dtype), rng.normal(size=4 * hd).astype(dtype),
+              j % 2 == 1) for j in range(k)]
+    return xs, cells
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_lstm_group_spans_change_no_bits(dtype, n, monkeypatch):
+    """One span and spans of one and of three of seven steps give the same
+    bits, on arrays and while recording."""
+    rng = np.random.default_rng(55 + n)
+    k, s, i, hd = 4, 7, 5, 8
+    xs, cells = _rand_group(rng, k, s, n, i, hd, dtype)
+    h0, c0 = rng.normal(size=(2, n, hd)).astype(dtype)
+    states = [None, (h0, c0), None, None]
+
+    def run():
+        return lstm_group(xs, lstm_operand(cells), states)
+
+    graph, arrays = _both_paths(run)
+    _assert_same_bits(graph, arrays)
+    step_bytes = k * n * 4 * hd * np.dtype(dtype).itemsize
+    for span_bytes in (1, 3 * step_bytes):
+        monkeypatch.setattr(nn, "SPAN_BYTES", span_bytes)
+        graph_spans, arrays_spans = _both_paths(run)
+        _assert_same_bits(graph, arrays_spans)
+        _assert_same_bits(graph_spans, arrays)
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n", COLUMNS)
 def test_complex_lstm_arrays_match_graph(dtype, n):
@@ -729,6 +764,33 @@ def test_recorded_lstm_group_keeps_only_its_states():
     (ys, finals), kept = _kept_bytes(lambda: lstm_group(xs, op, [None] * k))
     states = 2 * k * (s + 1) * n * hd * 8   # hs and cs, float64
     assert kept <= 1.1 * states, (kept, states)
+
+
+def test_recorded_lstm_group_backward_holds_one_span():
+    """Four recurrences' backward allocates one span of gate gradients
+    (nn.SPAN_BYTES), not a (K, S, N, 4H) buffer."""
+    rng = np.random.default_rng(94)
+    k, n, i, hd = 4, 64, 4, 16
+    s = 4 * nn.SPAN_BYTES // (k * n * 4 * hd * 8) + 1   # four spans and a step
+    xs, cells = _rand_group(rng, k, s, n, i, hd, np.float64)
+    xs = [as_var(x) for x in xs]
+    _, finals = lstm_group(xs, lstm_operand([tuple(as_var(w) for w in cell[:4]) + cell[4:]
+                                            for cell in cells]), [None] * k)
+    loss = None
+    for _, c in finals:   # gradients reach only the final c, so none of size S arrives
+        term = (c * rng.normal(size=c.shape)).sum()
+        loss = term if loss is None else loss + term
+    gate_bytes = k * s * n * 4 * hd * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(x.grad is not None for x in xs)
+    assert peak < gate_bytes // 2, (peak, gate_bytes)
 
 
 def _df_inputs(rng, t, t_target, dtype, f=7):
