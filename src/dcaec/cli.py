@@ -240,12 +240,14 @@ def cmd_metrics(args):
 
 def cmd_gradcheck(args):
     from .gradcheck import run_gradient_suite
-    results = run_gradient_suite(seed=args.seed)
+    notes = {}
+    results = run_gradient_suite(seed=args.seed, notes=notes)
     worst = 0.0
     failed = []
     for name, err in results.items():
         status = "ok" if err < args.tol else "FAIL"
-        print(f"{name:32s} max-rel-err {err:.3e}  {status}")
+        note = f"({notes[name]})  " if name in notes else ""
+        print(f"{name:32s} max-rel-err {err:.3e}  {note}{status}")
         worst = max(worst, err)
         if err >= args.tol:
             failed.append(name)

@@ -159,31 +159,22 @@ def count_params(store: WeightStore) -> int:
 # ---- weight initialization ----------------------------------------------
 
 
-def _uniform(rng, shape, fan_in):
-    # float32 so the weight-file round trip is bit-exact
-    k = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-k, k, size=shape).astype(np.float32)
+def _lstm_layout(prefix, input_dim, hidden, bidirectional):
+    for suf in ("", "_rev") if bidirectional else ("",):
+        yield f"{prefix}.w_ih{suf}", (4 * hidden, input_dim), input_dim
+        yield f"{prefix}.w_hh{suf}", (4 * hidden, hidden), hidden
+        yield f"{prefix}.b_ih{suf}", (4 * hidden,), hidden   # forget gate offset by +1
+        yield f"{prefix}.b_hh{suf}", (4 * hidden,), hidden
 
 
-def _init_lstm(rng, tensors, prefix, input_dim, hidden, bidirectional):
-    suffixes = [""] if not bidirectional else ["", "_rev"]
-    for suf in suffixes:
-        tensors[f"{prefix}.w_ih{suf}"] = _uniform(rng, (4 * hidden, input_dim), input_dim)
-        tensors[f"{prefix}.w_hh{suf}"] = _uniform(rng, (4 * hidden, hidden), hidden)
-        b_ih = _uniform(rng, (4 * hidden,), hidden)
-        b_ih[hidden:2 * hidden] += 1.0  # forget-gate bias
-        tensors[f"{prefix}.b_ih{suf}"] = b_ih
-        tensors[f"{prefix}.b_hh{suf}"] = _uniform(rng, (4 * hidden,), hidden)
-
-
-def _init_conv(rng, tensors, name, s: ConvSpec, prelu):
+def _conv_layout(name, s: ConvSpec, prelu):
     fan = s.in_ch * s.kernel_t * s.kernel_f
     shape = (s.out_ch, s.in_ch, s.kernel_t, s.kernel_f)
-    tensors[f"{name}.kr"] = _uniform(rng, shape, fan)
-    tensors[f"{name}.ki"] = _uniform(rng, shape, fan)
+    yield f"{name}.kr", shape, fan
+    yield f"{name}.ki", shape, fan
     if prelu:
-        tensors[f"{name}.alpha_r"] = np.full((s.out_ch, 1, 1), 0.25, dtype=np.float32)
-        tensors[f"{name}.alpha_i"] = np.full((s.out_ch, 1, 1), 0.25, dtype=np.float32)
+        yield f"{name}.alpha_r", (s.out_ch, 1, 1), None
+        yield f"{name}.alpha_i", (s.out_ch, 1, 1), None
 
 
 def _conv_stack(cfg: ModelConfig, decoder):
@@ -195,49 +186,53 @@ def _conv_stack(cfg: ModelConfig, decoder):
     return [(name, s, name != "dec0") for name, s in zip(names, specs)]
 
 
+def tensor_layout(cfg: ModelConfig):
+    """(name, shape, fan_in) of every stored tensor, in the order init_weights
+    draws them; fan_in is None for a PReLU slope, which draws nothing."""
+    for name, s, prelu in _conv_stack(cfg, decoder=False):
+        yield from _conv_layout(name, s, prelu)
+    c, h = cfg.bottleneck_ch, cfg.lstm_hidden
+    for part in ("re", "im"):
+        yield from _lstm_layout(f"ft.{part}.f", c, h, bidirectional=True)
+        yield f"ft.{part}.proj_f.w", (c, 2 * h), 2 * h
+        yield f"ft.{part}.proj_f.b", (c,), 2 * h
+        yield from _lstm_layout(f"ft.{part}.t", c, h, bidirectional=False)
+        yield f"ft.{part}.proj_t.w", (c, h), h
+        yield f"ft.{part}.proj_t.b", (c,), h
+    for name, s, prelu in _conv_stack(cfg, decoder=True):
+        yield from _conv_layout(name, s, prelu)
+    yield from _conv_layout("df", cfg.df_spec, False)
+    d, ch = cfg.n_bins, cfg.clstm_hidden
+    for i in range(cfg.clstm_layers):
+        yield from _lstm_layout(f"clstm{i}.r", d, ch, bidirectional=False)
+        yield from _lstm_layout(f"clstm{i}.i", d, ch, bidirectional=False)
+        for w, shape in (("pr", (d, ch)), ("pi", (d, ch)), ("br", (d,)), ("bi", (d,))):
+            yield f"clstm{i}.proj.{w}", shape, ch
+
+
 def init_weights(cfg: ModelConfig, seed=None) -> WeightStore:
-    """Seeded random weight store matching cfg."""
+    """Seeded random weight store matching cfg: U(-1/sqrt(fan_in),
+    1/sqrt(fan_in)) draws in float32, so the weight-file round trip is
+    bit-exact, with every LSTM's forget-gate b_ih offset by +1, and PReLU
+    slopes of 0.25."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     t = OrderedDict()
-    for name, s, prelu in _conv_stack(cfg, decoder=False):
-        _init_conv(rng, t, name, s, prelu)
-    c = cfg.bottleneck_ch
-    h = cfg.lstm_hidden
-    for part in ("re", "im"):
-        _init_lstm(rng, t, f"ft.{part}.f", c, h, bidirectional=True)
-        t[f"ft.{part}.proj_f.w"] = _uniform(rng, (c, 2 * h), 2 * h)
-        t[f"ft.{part}.proj_f.b"] = _uniform(rng, (c,), 2 * h)
-        _init_lstm(rng, t, f"ft.{part}.t", c, h, bidirectional=False)
-        t[f"ft.{part}.proj_t.w"] = _uniform(rng, (c, h), h)
-        t[f"ft.{part}.proj_t.b"] = _uniform(rng, (c,), h)
-    for name, s, prelu in _conv_stack(cfg, decoder=True):
-        _init_conv(rng, t, name, s, prelu)
-    _init_conv(rng, t, "df", cfg.df_spec, False)
-    d = cfg.n_bins
-    ch = cfg.clstm_hidden
-    for i in range(cfg.clstm_layers):
-        _init_lstm(rng, t, f"clstm{i}.r", d, ch, bidirectional=False)
-        _init_lstm(rng, t, f"clstm{i}.i", d, ch, bidirectional=False)
-        t[f"clstm{i}.proj.pr"] = _uniform(rng, (d, ch), ch)
-        t[f"clstm{i}.proj.pi"] = _uniform(rng, (d, ch), ch)
-        t[f"clstm{i}.proj.br"] = _uniform(rng, (d,), ch)
-        t[f"clstm{i}.proj.bi"] = _uniform(rng, (d,), ch)
+    for name, shape, fan in tensor_layout(cfg):
+        if fan is None:
+            t[name] = np.full(shape, 0.25, dtype=np.float32)
+            continue
+        k = 1.0 / np.sqrt(fan)
+        t[name] = rng.uniform(-k, k, size=shape).astype(np.float32)
+        if ".b_ih" in name:
+            t[name][shape[0] // 4:shape[0] // 2] += 1.0
     meta = {"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
             "format_version": 1}
     return WeightStore(t, meta)
 
 
-# config hash -> {name: shape}; the shapes do not depend on the seed
-_EXPECTED_SHAPES = {}
-
-
 def expected_tensor_shapes(cfg: ModelConfig):
-    """Name -> shape map implied by cfg (via a seeded dry init, once per config)."""
-    key = cfg.config_hash()
-    if key not in _EXPECTED_SHAPES:
-        ref = init_weights(cfg, seed=0)
-        _EXPECTED_SHAPES[key] = {k: v.shape for k, v in ref.tensors.items()}
-    return dict(_EXPECTED_SHAPES[key])
+    """Name -> shape map implied by cfg, read from tensor_layout (no draws)."""
+    return {name: shape for name, shape, _ in tensor_layout(cfg)}
 
 
 def validate_store(store: WeightStore, cfg: ModelConfig):

@@ -15,10 +15,12 @@ inference and training.  No kernel builds the weight it multiplies: the
 
 Recurrences go through one kernel, `lstm_group`, which advances K independent
 LSTMs (each with its own weights and direction) over inputs of one length
-and batch, one Python step per time step for all K.  The step is one stacked
-recurrent product and `lstm_cell`, and the loop is the same on both paths:
-on arrays it runs alone; while gradients record it also keeps every cell
-state, and the group becomes one graph node with a hand-written
+and batch, one Python step per time step for all K: the stacked recurrent
+product into one (K, N, 4H) buffer, plus the step's gate inputs, then
+`lstm_cell`, which takes every gate activation from one tanh, with
+sigmoid(g) = tanh(g / 2) / 2 + 1 / 2 on halved sigmoid-gate inputs.  On
+arrays the loop runs alone; while gradients record it also keeps every
+cell state, and the group becomes one graph node with a hand-written
 backpropagation through time, which rebuilds the gate activations from the
 kept hidden and cell states.  The F-T block's F-stage (re/im x
 forward/backward) runs as K = 4, the complex LSTM's two recurrences (each
@@ -41,6 +43,7 @@ reads its inputs' values again in backward.
 """
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -161,49 +164,56 @@ class LstmGroup(NamedTuple):
     """K LSTM recurrences in the layout lstm_group reads (see lstm_operand)."""
 
     w_ih: list      # per recurrence, w_ih^T (I, 4H)
-    w_hh: object    # (K, H, 4H): every w_hh^T, stacked in C order
-    b: object       # (K, 4H): every b_ih + b_hh
+    w_hh: object    # (K, H, 4H): every w_hh^T, stacked in C order, sigmoid gates halved
+    b: object       # (K, 4H): every b_ih + b_hh, sigmoid gates halved
     reverse: tuple  # per recurrence, whether it scans from the end
+
+
+def _halves(h4, dtype):
+    """(4H,): 1/2 on the sigmoid gates (input, forget, output), 1 on the cell gate."""
+    return np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), h4 // 4)
 
 
 def lstm_operand(cells):
     """cells: K (w_ih (4H, I), w_hh (4H, H), b_ih (4H,), b_hh (4H,), reverse)
-    in the stored layout, gate order (input, forget, cell, output)."""
+    in the stored layout, gate order (input, forget, cell, output).  Halves
+    the sigmoid gates' rows of w_hh and b; _gate_inputs halves x @ w_ih^T."""
     w_ih, w_hh, b_ih, b_hh, reverse = zip(*cells)
     k, hd = len(cells), w_hh[0].shape[1]
+    half = _halves(4 * hd, value(w_hh[0]).dtype)
     # C order: a strided w_hh^T about doubled the paper F-stage's time
     w_hh = concat([contiguous(lift(w).transpose(1, 0)) for w in w_hh]).reshape(k, hd, 4 * hd)
-    return LstmGroup([lift(w).transpose(1, 0) for w in w_ih], w_hh,
-                     concat([lift(x) + lift(y) for x, y in zip(b_ih, b_hh)]).reshape(k, 4 * hd),
-                     reverse)
+    b = concat([lift(x) + lift(y) for x, y in zip(b_ih, b_hh)]).reshape(k, 4 * hd)
+    return LstmGroup([lift(w).transpose(1, 0) for w in w_ih], w_hh * half, b * half, reverse)
 
 
-def _gate_activations(g, a, tc):
-    """The gate activations of K LSTM steps: g (K, N, 4H) the pre-activations,
-    gate order (input, forget, cell, output).  Writes the sigmoids of all four
-    gates to a (K, N, 4H), whose cell block goes unused, and the cell gate's
-    tanh to tc (K, N, H), which may be that block."""
-    hd = tc.shape[-1]
-    np.negative(g, out=a)
-    np.exp(a, out=a)
-    np.add(a, 1.0, out=a)
-    np.divide(1.0, a, out=a)
-    np.tanh(g[..., 2 * hd:3 * hd], out=tc)
+def _gates(k, n, half, steps):
+    """z (K, N, 4H) and what lstm_cell reads besides it, bound once per call:
+    the scale and shift that make tanh(z) the gate activations, (4H,) rows
+    for one step and shaped as z for more (rows slowed narrow steps), z's gates."""
+    if steps > 1:
+        z, scale, shift = np.empty((3, k, n, half.size), half.dtype)
+        scale[...], shift[...] = half, 1.0 - half
+    else:
+        z, scale, shift = np.empty((k, n, half.size), half.dtype), half, 1.0 - half
+    return z, (scale, shift, *z.reshape(k, n, 4, -1).transpose(2, 0, 1, 3))
 
 
-def lstm_cell(g, c_prev, c, a, tc, tmp, h):
-    """One time step of K LSTMs, in place.  g (K, N, 4H): the gates'
-    pre-activations; a and tc as for _gate_activations.  Writes the new cell
+def lstm_cell(z, gates, c_prev, c, tmp, h):
+    """One time step of K LSTMs, in place.  z (K, N, 4H): the gates'
+    pre-activations, sigmoid gates halved (lstm_operand), which it turns into
+    the gate activations; gates: as _gates binds them.  Writes the new cell
     state to c, which may be c_prev itself, and the new hidden state to h,
-    which it returns.  tmp (K, N, H) is scratch and may be tc.
-    """
-    hd = h.shape[-1]
-    _gate_activations(g, a, tc)
-    np.multiply(a[..., :hd], tc, out=tmp)
-    np.multiply(c_prev, a[..., hd:2 * hd], out=c)
+    which it returns.  tmp (K, N, H) is scratch."""
+    scale, shift, gi, gf, gc, go = gates
+    np.tanh(z, out=z)
+    z *= scale
+    z += shift
+    np.multiply(gi, gc, out=tmp)
+    np.multiply(c_prev, gf, out=c)
     c += tmp
     np.tanh(c, out=tmp)
-    return np.multiply(a[..., 3 * hd:], tmp, out=h)
+    return np.multiply(go, tmp, out=h)
 
 
 def _span(k, s, n, h4, itemsize):
@@ -217,18 +227,19 @@ def _scan(x, rev, t0, m):
     return x[::-1][t0:t0 + m] if rev else x[t0:t0 + m]
 
 
-def _gate_inputs(xd, w_ih, b, rev, t0, out):
-    """x @ w_ih^T + b of every recurrence for the scan steps t0 .. t0 + m - 1,
-    written in place into out[:, :m] of out (K, span, N, 4H), with m the
-    steps left up to span.  Returns out[:, :m]: scan step t adds the
-    recurrent products to its row t - t0."""
+def _gate_inputs(xd, w_ih, b, half, rev, t0, out):
+    """x @ w_ih^T, its sigmoid gates halved, + b of every recurrence for the
+    scan steps t0 .. t0 + m - 1, written in place into out[:, :m] of out
+    (K, span, N, 4H), with m the steps left up to span.  Returns out[:, :m]:
+    scan step t adds the recurrent products to its row t - t0."""
     k, span, n, h4 = out.shape
     m = min(span, xd[0].shape[0] - t0)
+    g = out[:, :m]
     for j, (x, w) in enumerate(zip(xd, w_ih)):
-        np.matmul(_scan(x, rev[j], t0, m).reshape(m * n, -1), w,
-                  out=out[j, :m].reshape(m * n, h4))
-        out[j, :m] += b[j]
-    return out[:, :m]
+        np.matmul(_scan(x, rev[j], t0, m).reshape(m * n, -1), w, out=g[j].reshape(m * n, h4))
+    g *= half
+    g += b[:, None, None]
+    return g
 
 
 def lstm_group(xs, op: LstmGroup, states):
@@ -259,18 +270,18 @@ def lstm_group(xs, op: LstmGroup, states):
     for j, st in enumerate(states):
         if st is not None:
             hs[j, 0], cs[j, 0] = value(st[0]), value(st[1])
-    a = np.empty((k, n, 4 * hd), dt)    # gate activations of one step
-    tmp = np.empty((k, n, hd), dt)
-    hw = np.empty((k, n, 4 * hd), dt)   # recurrent products
-    c = cs[:, 0]
+    half, tmp = _halves(4 * hd, dt), np.empty((k, n, hd), dt)
+    z, gates = _gates(k, n, half, s)
+    # each step's (K, N, .) views of h_t, h_t+1, c_t and c_t+1, by iteration
+    h_steps, c_steps = hs.swapaxes(0, 1), cs.swapaxes(0, 1) if record else [cs[:, 0]] * (s + 1)
     for t0 in range(0, s, gx.shape[1]):
-        g_span = _gate_inputs(xd, w_ih, b, rev, t0, gx)
-        for t in range(t0, t0 + g_span.shape[1]):
-            g = g_span[:, t - t0]
-            g += np.matmul(hs[:, t], w_hh, out=hw)
-            c_next = cs[:, t + 1] if record else c
-            lstm_cell(g, c, c_next, a, tmp, tmp, hs[:, t + 1])
-            c = c_next
+        g_span = _gate_inputs(xd, w_ih, b, half, rev, t0, gx).swapaxes(0, 1)
+        t1 = t0 + len(g_span) + 1
+        for g, (h_prev, h), (c_prev, c) in zip(g_span, pairwise(h_steps[t0:t1]),
+                                               pairwise(c_steps[t0:t1])):
+            np.matmul(h_prev, w_hh, out=z)
+            z += g
+            lstm_cell(z, gates, c_prev, c, tmp, h)
     ys = [hs[j, :0:-1] if rev[j] else hs[j, 1:] for j in range(k)]
     if not record:
         return ys, [(hs[j, s].copy(), cs[j, 0].copy()) for j in range(k)]
@@ -290,11 +301,10 @@ def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
 
     The K recurrences step back through time together, one span of steps
     (see _span) at a time from the end.  One (K, span, N, 4H) buffer first
-    holds the span's x @ w_ih^T + b, as in the forward; each reverse step
-    adds its recurrent product and rebuilds that step's gate activations
-    with the forward's ops, then overwrites the step with its gate
-    gradients.  The span's dx is then one gemm per recurrence, and its
-    terms are added to the w_ih^T, w_hh and b gradients.
+    holds the span's gate inputs; each reverse step rebuilds its gate
+    activations as the forward does, with slope scale * (1 - tanh^2), and
+    overwrites its row with its gate gradients.  Those reach w_hh and b as
+    they are; halved, they reach dx and w_ih^T.
     """
     k, s, n, hd = hs[:, 1:].shape
     h4, dt = 4 * hd, hs.dtype
@@ -305,44 +315,49 @@ def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
     for j in range(k):
         if gs[k + j] is not None:
             dc[j] = gs[k + j]
-    a = np.empty((k, n, h4), dt)
-    tc, th = np.empty((2, k, n, hd), dt)   # tanh of the cell gate and of the new c
-    hw = np.empty((k, n, h4), dt)
+    half = _halves(h4, dt)
+    z, (scale, shift, gi, gf, gc, go) = _gates(k, n, half, s)
+    th = np.empty((k, n, hd), dt)   # tanh of the new c
     slope = np.empty((k, n, h4), dt)
     dh = np.zeros((k, n, hd), dt)   # dL/dh_t through step t + 1
     w_hh_t = np.ascontiguousarray(w_hh.transpose(0, 2, 1))   # (K, 4H, H)
-    gi, gf, go = a[..., :hd], a[..., hd:2 * hd], a[..., 3 * hd:]
     # in scan order: a reverse recurrence's x is reversed, not its gradients
     d_xs = [np.empty((s, n, w.shape[0]), dt) for w in w_ih]
     d_w_ih = [np.zeros(w.shape, dt) for w in w_ih]
     d_w_hh, d_b = np.zeros((k, hd, h4), dt), np.zeros((k, h4), dt)
     for t0 in reversed(range(0, s, buf.shape[1])):
-        dg = _gate_inputs(xd, w_ih, b, rev, t0, buf)
+        dg = _gate_inputs(xd, w_ih, b, half, rev, t0, buf)
         m = dg.shape[1]
-        for t in range(t0 + m - 1, t0 - 1, -1):
-            d = dg[:, t - t0]
-            d += np.matmul(hs[:, t], w_hh, out=hw)
-            _gate_activations(d, a, tc)
-            np.tanh(cs[:, t + 1], out=th)
+        # each step's (K, N, .) views of d, h_t, c_t and c_t+1, by iteration
+        back = [a[:, lo:lo + m].swapaxes(0, 1)[::-1]
+                for a, lo in ((dg, 0), (hs, t0), (cs, t0), (cs, t0 + 1))]
+        for t, d, h_prev, c_prev, c in zip(range(t0 + m - 1, t0 - 1, -1), *back):
+            np.matmul(h_prev, w_hh, out=z)
+            z += d
+            np.tanh(z, out=z)
+            np.multiply(z, z, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            slope *= scale
+            z *= scale
+            z += shift
+            np.tanh(c, out=th)
             for j, g in dy:
                 dh[j] += g[t]
-            np.subtract(1.0, a, out=slope)
-            slope *= a
-            np.subtract(1.0, tc * tc, out=slope[..., 2 * hd:3 * hd])
             np.multiply(dh, th, out=d[..., 3 * hd:])
             dc += dh * go * (1.0 - th * th)
-            np.multiply(dc, tc, out=d[..., :hd])
-            np.multiply(dc, cs[:, t], out=d[..., hd:2 * hd])
+            np.multiply(dc, gc, out=d[..., :hd])
+            np.multiply(dc, c_prev, out=d[..., hd:2 * hd])
             np.multiply(dc, gi, out=d[..., 2 * hd:3 * hd])
             d *= slope
             dc *= gf
             np.matmul(d, w_hh_t, out=dh)
         d_scan = dg.reshape(k, m * n, h4)
+        d_w_hh += hs[:, t0:t0 + m].reshape(k, m * n, hd).transpose(0, 2, 1) @ d_scan
+        d_b += d_scan.sum(axis=1)
+        d_scan *= half   # through the halving of x @ w_ih^T
         for j, (x, w, r) in enumerate(zip(xd, w_ih, rev)):
             np.matmul(d_scan[j], w.T, out=d_xs[j][t0:t0 + m].reshape(m * n, -1))
             d_w_ih[j] += _scan(x, r, t0, m).reshape(m * n, -1).T @ d_scan[j]
-        d_w_hh += hs[:, t0:t0 + m].reshape(k, m * n, hd).transpose(0, 2, 1) @ d_scan
-        d_b += d_scan.sum(axis=1)
     return ([d_x[::-1] if r else d_x for d_x, r in zip(d_xs, rev)] + d_w_ih + [d_w_hh, d_b]
             + [g[j].copy() for j in range(k) for g in (dh, dc)])
 

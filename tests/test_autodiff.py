@@ -174,8 +174,10 @@ def test_log10_and_dot():
 
 
 def test_lstm_cell_matches_unfused_math():
-    """nn.lstm_cell, the one step of every recurrence, for K = 2 at once:
-    into fresh buffers, and in place with the scratch reused for tanh."""
+    """nn.lstm_cell, the one step of every recurrence, for K = 2 at once: on
+    pre-activations with the sigmoid gates halved and the gate views bound
+    once (nn._gates: scale and shift as rows for a call of one step, as
+    arrays for more), into fresh buffers and with c updated in place."""
     rng = np.random.default_rng(7)
     k, n, h = 2, 3, 4
     g = rng.normal(size=(k, n, 4 * h))
@@ -185,15 +187,23 @@ def test_lstm_cell_matches_unfused_math():
                       np.tanh(g[..., 2 * h:3 * h]), sig(g[..., 3 * h:]))
     c_ref = gf * c_prev + gi * gc
     h_ref = go * np.tanh(c_ref)
-    a, c, h_out = np.empty((k, n, 4 * h)), np.empty((k, n, h)), np.empty((k, n, h))
-    assert lstm_cell(g, c_prev, c, a, a[..., 2 * h:3 * h], np.empty((k, n, h)), h_out) is h_out
-    np.testing.assert_allclose(a, np.concatenate([gi, gf, gc, go], axis=-1), atol=1e-12)
-    np.testing.assert_allclose(c, c_ref, atol=1e-12)
-    np.testing.assert_allclose(h_out, h_ref, atol=1e-12)
-    c_in_place, tmp, h_in_place = c_prev.copy(), np.empty((k, n, h)), np.empty((k, n, h))
-    lstm_cell(g, c_in_place, c_in_place, a, tmp, tmp, h_in_place)
-    np.testing.assert_array_equal(c_in_place, c)
-    np.testing.assert_array_equal(h_in_place, h_out)
+    half = nn._halves(4 * h, g.dtype)
+    np.testing.assert_array_equal(half, np.repeat([0.5, 0.5, 1.0, 0.5], h))
+    for steps in (1, 2):
+        z, gates = nn._gates(k, n, half, steps)
+        assert gates[0].shape == ((k, n, 4 * h) if steps > 1 else (4 * h,))
+        z[...] = g * half
+        c, tmp, h_out = np.empty((k, n, h)), np.empty((k, n, h)), np.empty((k, n, h))
+        assert lstm_cell(z, gates, c_prev, c, tmp, h_out) is h_out
+        np.testing.assert_allclose(z, np.concatenate([gi, gf, gc, go], axis=-1), atol=1e-12)
+        np.testing.assert_allclose(c, c_ref, atol=1e-12)
+        np.testing.assert_allclose(h_out, h_ref, atol=1e-12)
+        # the views stay bound: the next step writes z again and reads it through them
+        c_in_place, h_in_place = c_prev.copy(), np.empty((k, n, h))
+        z[...] = g * half
+        lstm_cell(z, gates, c_in_place, c_in_place, tmp, h_in_place)
+        np.testing.assert_array_equal(c_in_place, c)
+        np.testing.assert_array_equal(h_in_place, h_out)
 
 
 # ---- the fused LSTM node against a per-step graph of Var primitives -------
@@ -228,6 +238,8 @@ LSTM_GROUPS = {
     "k2_carried_states": dict(reverse=[True, False], carried=True),
     "k4_final_state_only": dict(reverse=[False, True, False, True], carried=True,
                                 final_only=True),
+    # one step: the gate scale and shift are bound as rows, not arrays
+    "one_step_k2": dict(reverse=[False, True], carried=True, steps=1),
 }
 
 
@@ -237,7 +249,7 @@ def test_lstm_group_gradients_match_per_step_graph(case, monkeypatch):
     of all of them."""
     opts = LSTM_GROUPS[case]
     reverse = opts["reverse"]
-    k, s, n, i, hd = len(reverse), 5, 3, 4, 3
+    k, s, n, i, hd = len(reverse), opts.get("steps", 5), 3, 4, 3
     rng = np.random.default_rng(sorted(LSTM_GROUPS).index(case))
     arrays = {}
     src = [(j % 2, j // 2) if opts.get("shared") else (j, j) for j in range(k)]

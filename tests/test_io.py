@@ -143,6 +143,24 @@ def test_weight_meta_preserved(tmp_path):
     assert back.meta == {"note": "hello", "n": 3}
 
 
+def test_weight_load_holds_one_copy(tmp_path):
+    """load_weights reads each tensor straight into its own array: above the
+    store it returns, its tracemalloc peak stays under 0.6x the file size
+    (reading the whole file first and then copying each tensor out of it
+    peaks a whole file above the store)."""
+    path = tmp_path / "paper.bin"
+    save_weights(path, init_weights(ModelConfig.paper_mode(), seed=0))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        store = load_weights(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= sum(t.nbytes for t in store.tensors.values())
+    assert peak - kept < 0.6 * size, (peak - kept, size)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_weight_non_finite_tensor_rejected(tmp_path, bad):
     store = init_weights(ModelConfig.desk_mode(), seed=3)

@@ -117,6 +117,21 @@ def test_validate_store_reuses_expected_shapes(monkeypatch):
             validate_store(WeightStore(tensors), DESK)
 
 
+@pytest.mark.parametrize("cfg", [PAPER, DESK, ModelConfig.paper_mode(df_wiring="input")],
+                         ids=["paper", "desk", "paper-input"])
+def test_expected_shapes_draw_nothing(cfg, monkeypatch):
+    """The shapes come from the layout init_weights draws from, not from a
+    dry init: with no random generator to be had they are init_weights'."""
+    shapes = {k: v.shape for k, v in init_weights(cfg, seed=5).tensors.items()}
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("expected_tensor_shapes drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert expected_tensor_shapes(cfg) == shapes
+    assert list(expected_tensor_shapes(cfg)) == list(shapes)
+
+
 def test_expected_shapes_cover_all_tensors():
     store = init_weights(DESK, seed=1)
     shapes = expected_tensor_shapes(DESK)

@@ -341,16 +341,19 @@ def test_bidirectional_lstm_reverses_cleanly():
 
 
 def test_lstm_operand_layout():
-    """The group's operands: w_ih^T, C-ordered stacked w_hh^T, b_ih + b_hh."""
+    """The group's operands: w_ih^T, C-ordered stacked w_hh^T and b_ih + b_hh,
+    the last two with the sigmoid gates' (input, forget, output) columns
+    halved, so that each gate's activation is one tanh."""
     rng = np.random.default_rng(22)
     spec = rand_lstm_spec(rng, 3, 4, bidirectional=True)
     w = spec.weights
     with no_grad():
         op = spec.operand()
+    half = np.repeat([0.5, 0.5, 1.0, 0.5], 4)
     assert op.w_hh.shape == (2, 4, 16) and op.w_hh.flags.c_contiguous
-    np.testing.assert_array_equal(op.w_hh[1], w["w_hh_rev"].T)
+    np.testing.assert_array_equal(op.w_hh[1], w["w_hh_rev"].T * half)
     np.testing.assert_array_equal(op.w_ih[1], w["w_ih_rev"].T)
-    np.testing.assert_array_equal(op.b[0], w["b_ih"] + w["b_hh"])
+    np.testing.assert_array_equal(op.b[0], (w["b_ih"] + w["b_hh"]) * half)
     assert op.reverse == (False, True)
 
 
@@ -582,6 +585,36 @@ def test_lstm_group_spans_change_no_bits(dtype, n, monkeypatch):
         graph_spans, arrays_spans = _both_paths(run)
         _assert_same_bits(graph, arrays_spans)
         _assert_same_bits(graph_spans, arrays)
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["arrays", "recording"])
+def test_lstm_group_calls_the_cell_once_per_step(record, monkeypatch):
+    """A group of S steps calls nn.lstm_cell S times, in one span or in
+    several, on arrays and while recording (the backward calls it not at
+    all); perfbench counts these calls per hop."""
+    rng = np.random.default_rng(57)
+    k, s, n, i, hd = 4, 7, 2, 5, 8
+    xs, cells = _rand_group(rng, k, s, n, i, hd, np.float64)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return cell(*args)
+
+    cell = nn.lstm_cell
+    monkeypatch.setattr(nn, "lstm_cell", counted)
+    for span_bytes in (nn.SPAN_BYTES, 3 * k * n * 4 * hd * 8):
+        monkeypatch.setattr(nn, "SPAN_BYTES", span_bytes)
+        calls.clear()
+        if record:
+            ys, _ = lstm_group([as_var(x) for x in xs],
+                               lstm_operand([tuple(as_var(w) for w in c[:4]) + c[4:]
+                                             for c in cells]), [None] * k)
+            sum(y.sum() for y in ys).backward()
+        else:
+            with no_grad():
+                lstm_group(xs, lstm_operand(cells), [None] * k)
+        assert len(calls) == s, (span_bytes, len(calls))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dcaec import training
-from dcaec.autodiff import as_var, value
+from dcaec import gradcheck, model, training
+from dcaec.autodiff import Var, _unbroadcast, as_var, value
 from dcaec.dsp import RATE, AudioBuffer, StftConfig, istft, stft, synthesis
 from dcaec.metrics import ChunkPlan, seg_sisnr, si_snr
 from dcaec.model import ModelConfig, init_weights
@@ -239,3 +239,42 @@ def test_backward_rejects_non_scalar():
     p = {"x": as_var(np.ones(3))}
     with pytest.raises(ValueError):
         backward(p["x"] * 2.0, p)
+
+
+# ---- the composed-loss gradient audit -------------------------------------
+
+
+def test_composed_check_redraws_an_entry_across_a_kink():
+    """On this draw, an entry differenced at h = 1e-5 pushes a PReLU input
+    across 0 (relative error 1.3e-2 when it is compared as it is); its
+    estimates at h and h / 10 disagree, so it is redrawn, and the check
+    passes."""
+    worst, redrawn = gradcheck.check_composed_loss(np.random.default_rng(1144))
+    assert worst < 1e-4
+    assert 1 <= redrawn <= gradcheck.MAX_REDRAWS
+
+
+@pytest.mark.parametrize("seed", range(1000, 1020))
+def test_composed_check_passes_on_other_draws(seed):
+    worst, redrawn = gradcheck.check_composed_loss(np.random.default_rng(seed))
+    assert worst < 1e-4 and redrawn <= gradcheck.MAX_REDRAWS, (worst, redrawn)
+
+
+def test_composed_check_fails_a_prelu_without_its_slope(monkeypatch):
+    """A wrong gradient is not a kink: a PReLU backward that passes the
+    gradient of a negative input on unscaled, dropping alpha, gives two
+    estimates that agree and an AD gradient that does not."""
+
+    def prelu_without_slope(x, alpha):
+        x, alpha = as_var(x), as_var(alpha)
+        xd, ad = value(x), value(alpha)
+
+        def bwd(g):
+            x._accum(g)
+            alpha._accum(_unbroadcast(g * np.minimum(xd, 0), ad.shape))
+
+        return Var._make(np.maximum(xd, 0) + ad * np.minimum(xd, 0), (x, alpha), bwd)
+
+    monkeypatch.setattr(model, "activation", prelu_without_slope)
+    worst, redrawn = gradcheck.check_composed_loss(np.random.default_rng(1000))
+    assert 1e-2 < worst < np.inf and redrawn == 0, (worst, redrawn)
