@@ -20,6 +20,7 @@ import numpy as np
 from .autodiff import pad
 
 RATE = 16000
+COLA_SHIFTS = 8   # the hop shifts of a window product that cola_profile sums
 
 
 class SampleRateError(ValueError):
@@ -51,12 +52,12 @@ def sqrt_hann(n):
     return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-def cola_profile(window_a, window_s, hop, n_shifts=8):
+def cola_profile(window_a, window_s, hop):
     """Sum of w_a*w_s over hop shifts; constant on the interior iff COLA."""
     n = len(window_a)
     prod = window_a * window_s
-    total = np.zeros(n + (n_shifts - 1) * hop)
-    for k in range(n_shifts):
+    total = np.zeros(n + (COLA_SHIFTS - 1) * hop)
+    for k in range(COLA_SHIFTS):
         total[k * hop:k * hop + n] += prod
     return total[n - hop:-(n - hop)] if n > hop else total
 

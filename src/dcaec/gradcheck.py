@@ -24,8 +24,11 @@ from .training import backward, example_loss, finite_diff, rel_error
 
 # 17 bins -> 7 at the bottleneck -> 17
 SMALL = ModelConfig(StftConfig(32, 16, 32), (2, 2), 2, 2, 1)
-# composed-loss entries that may be redrawn at a kink before the check fails,
-# and how far apart an entry's estimates at h and h / 10 must be to sit at one
+# the composed-loss check's entries sampled per tensor, its difference step,
+# the entries that may be redrawn at a kink before it fails, and how far apart
+# an entry's estimates at FD_H and FD_H / 10 must be to sit at one
+ENTRIES_PER_TENSOR = 4
+FD_H = 1e-5
 MAX_REDRAWS = 3
 KINK_TOL = 1e-4
 # the tensors a check does not vary
@@ -181,7 +184,7 @@ def check_seg_sisnr(rng):
     return _check(loss, arrays)
 
 
-def check_composed_loss(rng, entries_per_tensor=4, h=1e-5):
+def check_composed_loss(rng):
     """Sampled finite differences through the whole model + objective.
 
     Returns the worst relative error and how many sampled entries were
@@ -189,7 +192,7 @@ def check_composed_loss(rng, entries_per_tensor=4, h=1e-5):
     kernel, so a smaller step keeps the central-difference truncation error
     below the comparison tolerance (verified by a step-size convergence
     study).  It also has kinks, where a PReLU input crosses 0: each entry is
-    differenced at h and at h / 10, and where the two estimates disagree by
+    differenced at FD_H and FD_H / 10, and where the two estimates disagree by
     more than KINK_TOL the step crossed one, so the entry is redrawn from
     rng.  A wrong gradient gives two estimates that agree, and fails.  Past
     MAX_REDRAWS redraws the check fails (an error of inf).
@@ -215,12 +218,12 @@ def check_composed_loss(rng, entries_per_tensor=4, h=1e-5):
     for name, a in arrays.items():
         flat, ad = a.reshape(-1), grads[name].reshape(-1)
         scale = max(np.max(np.abs(ad)), 1e-8)
-        todo = list(rng.choice(flat.size, size=min(entries_per_tensor, flat.size),
+        todo = list(rng.choice(flat.size, size=min(ENTRIES_PER_TENSOR, flat.size),
                                replace=False))
         while todo:
             i = todo.pop()
             # a 1-element view: differencing it moves the entry in arrays
-            d, fine = (finite_diff(f, {0: flat[i:i + 1]}, h=step)[0][0] for step in (h, h / 10))
+            d, fine = (finite_diff(f, {0: flat[i:i + 1]}, h=h)[0][0] for h in (FD_H, FD_H / 10))
             if abs(d - fine) > KINK_TOL * max(abs(fine), scale):
                 if redrawn == MAX_REDRAWS:
                     return float("inf"), redrawn + 1

@@ -38,6 +38,7 @@ class WeightError(ValueError):
 
 
 MASK_CLAMP = 100.0
+CRM_EPS = 1e-12  # what ideal_crm adds to its denominator |Y|^2
 BLOCK_FRAMES = 16  # hops per block of an offline `forward`: its memory is set by the block
 
 
@@ -426,11 +427,11 @@ def apply_mask(y: ComplexSpec, m: MaskSpec) -> ComplexSpec:
     return ComplexSpec(re, im, y.cfg)
 
 
-def ideal_crm(y: ComplexSpec, s: ComplexSpec, eps=1e-12) -> MaskSpec:
-    """Complex ratio mask S/Y with an eps-guarded denominator."""
+def ideal_crm(y: ComplexSpec, s: ComplexSpec) -> MaskSpec:
+    """Complex ratio mask S/Y with a CRM_EPS-guarded denominator."""
     if y.re.shape != s.re.shape:
         raise ValueError("shape mismatch")
-    den = y.re ** 2 + y.im ** 2 + eps
+    den = y.re ** 2 + y.im ** 2 + CRM_EPS
     return MaskSpec((y.re * s.re + y.im * s.im) / den,
                     (y.re * s.im - y.im * s.re) / den)
 

@@ -15,6 +15,9 @@ from .dsp import RATE, AudioBuffer
 from .metrics import measure_ratio
 
 SPEED_OF_SOUND = 343.0
+RT60_FIT_DB = (-5.0, -25.0)   # the decay range schroeder_rt60 fits a line to
+PAUSE_PROB = 0.35             # a synthetic talker's chance of a pause segment
+SCENE_TRIES = 200             # the scenes make_training_examples draws at most
 
 
 @dataclass
@@ -142,13 +145,13 @@ def generate_rir(room: RoomSpec, highpass_hz=100.0) -> AudioBuffer:
     return AudioBuffer(h, fs)
 
 
-def schroeder_rt60(rir: AudioBuffer, fit_db=(-5.0, -25.0)):
+def schroeder_rt60(rir: AudioBuffer):
     """RT60 estimate via backward energy integration and a line fit."""
     e = rir.samples ** 2
     edc = np.cumsum(e[::-1])[::-1]
     edc = edc / edc[0]
     db = 10.0 * np.log10(np.maximum(edc, 1e-30))
-    hi, lo = fit_db
+    hi, lo = RT60_FIT_DB
     idx = np.where((db <= hi) & (db >= lo))[0]
     if len(idx) < 2:
         raise ValueError("decay range too short for RT60 fit")
@@ -314,9 +317,7 @@ def active_mask(x, frame=160, floor_db=-60.0):
 
 def mix_at_ratio(target, interferer, ratio_db, region):
     """Scale interferer so measure_ratio(target, scaled)[region] == ratio_db."""
-    t = target.samples if isinstance(target, AudioBuffer) else np.asarray(target)
-    i = interferer.samples if isinstance(interferer, AudioBuffer) else np.asarray(interferer)
-    t_r, i_r = t[region], i[region]
+    t_r, i_r = target[region], interferer[region]
     if t_r.size == 0:
         raise ValueError("empty mixing region")
     e_t = np.dot(t_r, t_r)
@@ -324,8 +325,7 @@ def mix_at_ratio(target, interferer, ratio_db, region):
     if e_t <= 0 or e_i <= 0:
         raise ValueError("zero energy in mixing region")
     g = np.sqrt(e_t / (e_i * 10.0 ** (ratio_db / 10.0)))
-    out = i * g
-    return AudioBuffer(out) if isinstance(interferer, AudioBuffer) else out
+    return interferer * g
 
 
 def synthesize(recipe: SceneRecipe, corpus: Corpus) -> SceneExample:
@@ -412,23 +412,20 @@ def synthesize(recipe: SceneRecipe, corpus: Corpus) -> SceneExample:
     )
 
 
-def make_training_examples(rng, corpus: Corpus, count, seconds=1.0,
-                           ranges: SceneRanges = None, max_tries=200):
+def make_training_examples(rng, corpus: Corpus, count, seconds=1.0):
     """Draw scenes cropped to a fixed length with a non-silent near end.
 
     The fixed length lets the training loop batch the examples; scenes whose
     cropped near-end signal is (almost) silent are redrawn because the
     objective is undefined on them.
     """
-    if ranges is None:
-        ranges = SceneRanges()
     n = int(round(seconds * RATE))
     out = []
-    for _ in range(max_tries):
+    for _ in range(SCENE_TRIES):
         if len(out) == count:
             break
         try:
-            ex = synthesize(sample_recipe(rng, ranges, corpus), corpus)
+            ex = synthesize(sample_recipe(rng, SceneRanges(), corpus), corpus)
         except ValueError:
             continue  # silent near clip or degenerate mixture: redraw
         if len(ex.y) < n:
@@ -445,7 +442,7 @@ def make_training_examples(rng, corpus: Corpus, count, seconds=1.0,
 # ---- desk-scale synthetic corpus ----------------------------------------
 
 
-def _speechlike(rng, n, pause_prob=0.35):
+def _speechlike(rng, n):
     """Amplitude-modulated low-passed noise with talk/pause structure."""
     # one-pole lowpass for a speech-ish spectral tilt
     out = _first_order(rng.normal(size=n), 0.15, 0.0, 0.85)
@@ -453,7 +450,7 @@ def _speechlike(rng, n, pause_prob=0.35):
     i = 0
     while i < n:
         seg = int(rng.integers(RATE // 8, RATE))
-        level = 0.0 if rng.uniform() < pause_prob else rng.uniform(0.3, 1.0)
+        level = 0.0 if rng.uniform() < PAUSE_PROB else rng.uniform(0.3, 1.0)
         env[i:i + seg] = level
         i += seg
     # short cross-fades to avoid clicks

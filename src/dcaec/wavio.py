@@ -31,10 +31,14 @@ def read_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, buf: AudioBuffer):
-    """Write PCM16 mono; saturating clip, returns the clipped sample count."""
+    """Write PCM16 mono; saturating clip, returns the clipped sample count.
+    NaN samples are refused before the file is opened."""
     if buf.sample_rate != RATE:
         raise WavFormatError(f"refusing to write {buf.sample_rate} Hz audio")
     x = np.asarray(buf.samples, dtype=np.float64)
+    nans = int(np.isnan(x).sum())
+    if nans:
+        raise WavFormatError(f"{path}: refusing to write {nans} NaN samples")
     clipped = int(np.sum((x < -1.0) | (x >= 1.0)))
     q = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as w:

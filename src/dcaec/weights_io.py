@@ -14,7 +14,7 @@ Layout (all little-endian):
 
 Store metadata (config dict, config hash, creation info) rides along as a
 reserved tensor named "__meta__" whose float32 values are the bytes of a
-JSON blob; reserved names are excluded from parameter counting.
+JSON object; reserved names are excluded from parameter counting.
 """
 
 import json
@@ -82,6 +82,19 @@ def _pieces(start, heads, arrays):
         yield np.ascontiguousarray(arr, dtype="<f4").reshape(-1).view(np.uint8)
 
 
+def _meta(vals) -> dict:
+    """The JSON object whose UTF-8 bytes are the __meta__ tensor's values."""
+    if not np.all((vals >= 0) & (vals <= 255) & (vals == np.rint(vals))):
+        raise WeightFormatError(f"{META_NAME} holds a value that is not a byte")
+    try:
+        meta = json.loads(bytes(vals.astype(np.uint8)).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise WeightFormatError(f"{META_NAME} is not UTF-8 JSON") from None
+    if not isinstance(meta, dict):
+        raise WeightFormatError(f"{META_NAME} is not a JSON object")
+    return meta
+
+
 def load_weights(path) -> WeightStore:
     """The store in the file at path.  The checksum is summed CHUNK bytes at
     a time before any tensor is read, and each tensor is read straight into
@@ -110,10 +123,16 @@ def load_weights(path) -> WeightStore:
             raise WeightFormatError(f"unsupported version {version}")
         (count,) = struct.unpack("<I", f.read(need(4)))
         tensors = OrderedDict()
-        meta = {}
+        meta, names = {}, set()
         for _ in range(count):
             (name_len,) = struct.unpack("<H", f.read(need(2)))
-            name = f.read(need(name_len)).decode("utf-8")
+            try:
+                name = f.read(need(name_len)).decode("utf-8")
+            except UnicodeDecodeError:
+                raise WeightFormatError("a tensor name is not UTF-8") from None
+            if name in names:
+                raise WeightFormatError(f"tensor {name!r} appears twice")
+            names.add(name)
             (rank,) = struct.unpack("<B", f.read(need(1)))
             dims = struct.unpack(f"<{rank}I", f.read(need(4 * rank))) if rank else ()
             need(4 * math.prod(dims))   # before allocating what the header claims
@@ -121,7 +140,7 @@ def load_weights(path) -> WeightStore:
             f.readinto(vals.reshape(-1).view(np.uint8))
             vals = vals.astype(np.float32, copy=False)
             if name == META_NAME:
-                meta = json.loads(bytes(vals.astype(np.uint8)).decode("utf-8"))
+                meta = _meta(vals)
             elif not np.isfinite(vals).all():
                 raise WeightFormatError(f"tensor {name!r} holds a non-finite value")
             else:

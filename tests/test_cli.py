@@ -1,9 +1,11 @@
 """CLI behaviour via main(argv): exit codes, JSON reports, file outputs."""
 
+import contextlib
 import json
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dcaec.dsp import RATE, AudioBuffer
 from dcaec.model import MASK_CLAMP, ModelConfig, count_params, init_weights
 from dcaec.wavio import write_wav
 from dcaec.weights_io import load_weights, save_weights
+from test_io import meta_record, packed
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +204,22 @@ def test_weights_without_config_exit_2(tmp_path, capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["process", "bench"])
+def test_weights_with_string_metadata_exit_2(tmp_path, command, capsys):
+    """Metadata that is JSON but not an object is a corrupt file, refused at
+    load, not a crash where the config is read."""
+    path = tmp_path / "str.bin"
+    path.write_bytes(packed([(b"a", np.zeros(2)), meta_record(b'"config"')]))
+    mic = _wav(tmp_path / "m.wav", np.zeros(RATE // 4))
+    argv = {"process": ["process", "--mic", str(mic), "--farend", str(mic),
+                        "--out", str(tmp_path / "o.wav")],
+            "bench": ["bench", "--seconds", "0.5"]}[command]
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--weights", str(path)])
+    assert e.value.code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_metrics_json(tmp_path, capsys):
     rng = np.random.default_rng(1)
     s = 0.1 * rng.normal(size=RATE)
@@ -354,6 +373,27 @@ def test_single_threaded_without_threadpoolctl_pins_and_restores(monkeypatch):
         assert pinned is True
         assert get() == 1
     assert get() == before
+
+
+@pytest.mark.parametrize("threads, pinned", [([1, 1], True), ([1, 2], False), ([], False)],
+                         ids=["all_one", "one_at_two", "no_pools"])
+def test_single_threaded_with_threadpoolctl(monkeypatch, threads, pinned):
+    """With threadpoolctl, the limit is its threadpool_limits(limits=1), and
+    it holds when every pool it then reports runs one thread."""
+    seen = []
+
+    @contextlib.contextmanager
+    def threadpool_limits(limits=None):
+        seen.append(limits)
+        yield
+
+    stub = types.ModuleType("threadpoolctl")
+    stub.threadpool_limits = threadpool_limits
+    stub.threadpool_info = lambda: [{"num_threads": t} for t in threads]
+    monkeypatch.setitem(sys.modules, "threadpoolctl", stub)
+    with cli._single_threaded() as held:
+        assert held is pinned
+    assert seen == [1]
 
 
 def test_bench_child_errors_keep_exit_codes(tmp_path, capsys):

@@ -37,6 +37,18 @@ def test_wav_clipping_reported(tmp_path):
     assert back.samples[2] == -1.0
 
 
+def test_wav_write_refuses_nan_and_saturates_inf(tmp_path):
+    """A NaN sample has no PCM16 value: refused, and no file is left; +-inf
+    saturate and count as clipped."""
+    path = tmp_path / "nan.wav"
+    with pytest.raises(WavFormatError, match="2 NaN"):
+        write_wav(path, AudioBuffer(np.array([0.5, np.nan, 0.0, np.nan])))
+    assert not path.exists()
+    path = tmp_path / "inf.wav"
+    assert write_wav(path, AudioBuffer(np.array([np.inf, 0.25, -np.inf]))) == 2
+    np.testing.assert_array_equal(read_wav(path).samples, [32767 / 32768.0, 0.25, -1.0])
+
+
 def test_wav_rejects_wrong_rate(tmp_path):
     path = tmp_path / "rate.wav"
     with wave.open(str(path), "wb") as w:
@@ -93,22 +105,29 @@ def test_weight_round_trip_bit_exact(tmp_path):
     validate_store(back, cfg)
 
 
-def _packed_in_memory(store):
-    """The weight file as one bytes object, packed the way the format
-    describes it: the reference save_weights must reproduce."""
-    def record(name, arr):
-        name_b = name.encode("utf-8")
-        return (struct.pack("<H", len(name_b)) + name_b + struct.pack("<B", arr.ndim)
-                + struct.pack(f"<{arr.ndim}I", *arr.shape)
-                + np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-    meta_b = json.dumps(dict(store.meta), sort_keys=True).encode("utf-8")
-    payload = struct.pack("<I", 1) + struct.pack("<I", len(store.tensors) + 1)
-    for name, arr in store.tensors.items():
-        payload += record(name, np.asarray(arr))
-    payload += record("__meta__", np.frombuffer(meta_b, dtype=np.uint8).astype(np.float32))
+def packed(records):
+    """A weight file of (name bytes, array) records, packed the way the
+    format describes it, with a valid checksum."""
+    payload = struct.pack("<I", 1) + struct.pack("<I", len(records))
+    for name_b, arr in records:
+        payload += (struct.pack("<H", len(name_b)) + name_b + struct.pack("<B", arr.ndim)
+                    + struct.pack(f"<{arr.ndim}I", *arr.shape)
+                    + np.ascontiguousarray(arr, dtype="<f4").tobytes())
     check = int(np.frombuffer(payload, dtype=np.uint8).sum(dtype=np.uint64)) % (1 << 64)
     return b"DCAEC\0" + payload + struct.pack("<Q", check)
+
+
+def meta_record(blob: bytes):
+    """The __meta__ record whose values are the bytes of blob."""
+    return b"__meta__", np.frombuffer(blob, dtype=np.uint8).astype(np.float32)
+
+
+def _packed_in_memory(store):
+    """The weight file as one bytes object: the reference save_weights must
+    reproduce."""
+    meta_b = json.dumps(dict(store.meta), sort_keys=True).encode("utf-8")
+    return packed([(name.encode("utf-8"), np.asarray(arr)) for name, arr in store.tensors.items()]
+                  + [meta_record(meta_b)])
 
 
 def test_weight_file_bytes_match_reference_packer(tmp_path):
@@ -220,3 +239,42 @@ def test_weight_unsupported_version(tmp_path):
     path.write_bytes(bytes(blob[:6]) + bytes(payload) + struct.pack("<Q", csum))
     with pytest.raises(WeightFormatError, match="version"):
         load_weights(path)
+
+
+def _load_packed(tmp_path, records):
+    path = tmp_path / "w.bin"
+    path.write_bytes(packed(records))
+    return load_weights(path)
+
+
+def test_weight_name_not_utf8_rejected(tmp_path):
+    with pytest.raises(WeightFormatError, match="not UTF-8"):
+        _load_packed(tmp_path, [(b"\xff\xfe", np.ones(2))])
+
+
+@pytest.mark.parametrize("blob", [b"{not json", b"\xff\xfe"], ids=["json", "utf8"])
+def test_weight_meta_not_json_rejected(tmp_path, blob):
+    with pytest.raises(WeightFormatError, match="not UTF-8 JSON"):
+        _load_packed(tmp_path, [(b"a", np.ones(2)), meta_record(blob)])
+
+
+@pytest.mark.parametrize("blob", [b'"config"', b"[1, 2]", b"3"])
+def test_weight_meta_not_object_rejected(tmp_path, blob):
+    with pytest.raises(WeightFormatError, match="not a JSON object"):
+        _load_packed(tmp_path, [(b"a", np.ones(2)), meta_record(blob)])
+
+
+@pytest.mark.parametrize("bad", [-1.0, 256.0, 123.5, np.nan])
+def test_weight_meta_not_bytes_rejected(tmp_path, bad):
+    name, vals = meta_record(b'{"n": 1}')
+    vals[3] = bad
+    with pytest.raises(WeightFormatError, match="not a byte"):
+        _load_packed(tmp_path, [(b"a", np.ones(2)), (name, vals)])
+
+
+@pytest.mark.parametrize("name", [b"a", b"__meta__"])
+def test_weight_duplicate_name_rejected(tmp_path, name):
+    """A name written twice is refused, not read as the later tensor."""
+    vals = meta_record(b"{}")[1]
+    with pytest.raises(WeightFormatError, match="appears twice"):
+        _load_packed(tmp_path, [(name, vals), (b"b", np.ones(2)), (name, vals)])

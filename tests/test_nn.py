@@ -342,8 +342,8 @@ def test_bidirectional_lstm_reverses_cleanly():
 
 def test_lstm_operand_layout():
     """The group's operands: w_ih^T, C-ordered stacked w_hh^T and b_ih + b_hh,
-    the last two with the sigmoid gates' (input, forget, output) columns
-    halved, so that each gate's activation is one tanh."""
+    each with the sigmoid gates' (input, forget, output) columns halved, so
+    that each gate's activation is one tanh."""
     rng = np.random.default_rng(22)
     spec = rand_lstm_spec(rng, 3, 4, bidirectional=True)
     w = spec.weights
@@ -352,7 +352,7 @@ def test_lstm_operand_layout():
     half = np.repeat([0.5, 0.5, 1.0, 0.5], 4)
     assert op.w_hh.shape == (2, 4, 16) and op.w_hh.flags.c_contiguous
     np.testing.assert_array_equal(op.w_hh[1], w["w_hh_rev"].T * half)
-    np.testing.assert_array_equal(op.w_ih[1], w["w_ih_rev"].T)
+    np.testing.assert_array_equal(op.w_ih[1], w["w_ih_rev"].T * half)
     np.testing.assert_array_equal(op.b[0], (w["b_ih"] + w["b_hh"]) * half)
     assert op.reverse == (False, True)
 
