@@ -12,9 +12,9 @@ unwraps Vars to their arrays.  The free functions below (``pad``,
 only definitions of their ops: each builds graph nodes when an operand is a
 Var and otherwise does plain numpy, so the same kernel code runs on Vars for
 training and arrays in, arrays out for inference.  An op that computes its
-own gradients, such as ``nn.lstm_group``'s recurrence loop or the deep
-filter, runs on arrays either way and, while recording, becomes one node
-through ``multi_node``.
+own gradients, such as ``nn.lstm_group``'s recurrence loop, the
+convolutions or the deep filter, runs on arrays either way and, while
+recording, becomes one node through ``multi_node``.
 
 Var sets ``__array_ufunc__ = None``, so an ndarray on the left of ``+``,
 ``-``, ``*``, ``/`` or ``@`` defers to the Var's reflected operator.
@@ -306,6 +306,8 @@ def lift(x):
     """x as a kernel operand: a Var while gradients record, else an array."""
     if _GRAD_ENABLED:
         return as_var(x)
+    if type(x) is np.ndarray and x.dtype.kind == "f":   # the common case, as it is
+        return x
     return x.data if isinstance(x, Var) else _float(x)
 
 

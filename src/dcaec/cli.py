@@ -11,6 +11,7 @@ import json
 import resource
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,11 +21,11 @@ from . import __version__
 from .dsp import RATE, AudioBuffer
 from .metrics import ChunkPlan, MetricReport, erle, seg_sisnr, si_snr
 from .model import (ModelConfig, NumericError, StreamingSession, WeightError,
-                    count_params, forward, init_weights)
+                    count_params, forward, init_weights, params_as_vars)
 from .scene import (Corpus, SceneRanges, build_rir_bank,
                     make_training_examples, sample_recipe, synthesize,
                     synthetic_corpus)
-from .training import toy_train
+from .training import backward, batched_loss, toy_train
 from .wavio import WavFormatError, read_wav, write_wav
 from .weights_io import WeightFormatError, load_weights, save_weights
 
@@ -300,6 +301,8 @@ def cmd_bench(args):
     n_stream = int(max(args.seconds, BENCH_STREAM_SECONDS) * RATE) // hop * hop
     ys = 0.1 * rng.normal(size=n_stream)
     xs = 0.1 * rng.normal(size=n_stream)
+    corpus = synthetic_corpus(seed=args.seed, clip_seconds=1.0, n_rirs=2)
+    examples = make_training_examples(rng, corpus, 1, seconds=0.5)
     with _single_threaded() as pinned:
         t0 = time.perf_counter()
         forward(y, x, store, cfg)
@@ -310,6 +313,14 @@ def cmd_bench(args):
             t0 = time.perf_counter()
             sess.feed(ys[i:i + hop], xs[i:i + hop])
             hop_s.append(time.perf_counter() - t0)
+        peak_mb = _peak_rss_mb()   # inference's, before the two training steps below
+        params = params_as_vars(store, np.float32)
+        tracemalloc.start()   # an untimed step's graph, once its forward is built
+        loss = batched_loss(examples, params, cfg)
+        graph_mb = tracemalloc.get_traced_memory()[0] / 2 ** 20
+        tracemalloc.stop()
+        backward(loss, params)
+        step_s = toy_train(store, cfg, examples, steps=1)[1][0]["wall"]   # a timed step
     hop_ms = 1000.0 * np.asarray(hop_s)
     _print_report({
         "tool_version": __version__,
@@ -321,11 +332,13 @@ def cmd_bench(args):
         "stream_hop_ms_p99": float(np.percentile(hop_ms, 99)),
         "stream_hop_ms_max": float(hop_ms.max()),
         "stream_rtf": float(hop_ms.sum()) / 1000.0 / (n_stream / RATE),
+        "train_step_s": step_s,
+        "train_graph_mb": graph_mb,
         "threads_pinned": pinned,
         "latency_samples": sess.algorithmic_latency,
         "latency_ms": 1000.0 * sess.algorithmic_latency / RATE,
         "params": count_params(store),
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": peak_mb,
     })
 
 

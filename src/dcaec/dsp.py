@@ -178,13 +178,6 @@ def istft(s: ComplexSpec) -> AudioBuffer:
     return AudioBuffer(synthesis(s.re, s.im, s.cfg), s.cfg.sample_rate)
 
 
-def apply_delay(x: AudioBuffer, delay: int) -> AudioBuffer:
-    """Prepend `delay` zero samples."""
-    if delay < 0:
-        raise ValueError("delay must be non-negative")
-    return AudioBuffer(np.concatenate([np.zeros(delay), x.samples]), x.sample_rate)
-
-
 def dft_matrices(fft_size):
     """One-sided DFT as matrices C, S of shape (n_bins, fft_size).
 

@@ -413,9 +413,9 @@ def batch_mask_graph(y_specs, x_specs, params, cfg: ModelConfig, note=_no_note):
     return m
 
 
-def params_as_vars(store: WeightStore):
-    """Tensors as float64 Vars, for gradient work."""
-    return {k: as_var(np.asarray(v, dtype=np.float64)) for k, v in store.tensors.items()}
+def params_as_vars(store: WeightStore, dtype=np.float64):
+    """Tensors as Vars of dtype, for gradient work."""
+    return {k: as_var(np.asarray(v, dtype=dtype)) for k, v in store.tensors.items()}
 
 
 def apply_mask(y: ComplexSpec, m: MaskSpec) -> ComplexSpec:

@@ -37,9 +37,11 @@ F-stage has batch 1, the T-stage and the complex LSTM one step), and a
 span's steps round exactly as they do in a longer one, so the span changes
 no forward output; the backward sums the weight gradients span by span.
 
-A recorded op keeps only what its backward reads: `prelu` and
-`deep_filter_apply` are one graph node each, which keeps its output and
-reads its inputs' values again in backward.
+A recorded op keeps only what its backward reads: the convolutions,
+`linear` (which reads each of a list of inputs against its own rows of the
+weight), `prelu` and `deep_filter_apply` are one graph node each, which
+keeps its output and reads its inputs' values again in backward, so no
+padded, joined or unfolded input or pre-bias product lives in the graph.
 """
 
 from dataclasses import dataclass
@@ -106,12 +108,6 @@ class ConvSpec:
         return (t_in + 2 * self.pad_t - self.kernel_t) // self.stride_t + 1
 
 
-def _geometry(spec: ConvSpec):
-    """(kernel, stride, padding) over (time, frequency), for unfold and fold."""
-    return ((spec.kernel_t, spec.kernel_f), (spec.stride_t, spec.stride_f),
-            (spec.pad_t, spec.pad_f))
-
-
 def conv_operand(kr, ki, transposed=False):
     """A complex conv kernel (C_out, C_in, k_t, k_f) as its real block weight
     [[Kr, -Ki], [Ki, Kr]], in the layout its one product reads: (2*C_out,
@@ -123,8 +119,11 @@ def conv_operand(kr, ki, transposed=False):
     return k.reshape(-1, k.shape[3]) if transposed else k.reshape(k.shape[0], -1)
 
 
-def _checked(w: ComplexPair, k, spec: ConvSpec):
-    """The output's (time, frequency) extent, once w and k fit spec."""
+def complex_conv2d(w: ComplexPair, k, spec: ConvSpec) -> ComplexPair:
+    """Complex 2-D cross-correlation over (time, frequency), or for a
+    transposed spec complex_deconv2d: one product of the block weight k
+    (conv_operand) with [re; im].  Recorded, it is one graph node, whose
+    backward unfolds the input again (conv) or the output's gradient (deconv)."""
     taps, c_in, c_out = spec.kernel_t * spec.kernel_f, 2 * spec.in_ch, 2 * spec.out_ch
     expect = (taps * c_out, c_in) if spec.transposed else (c_out, taps * c_in)
     if tuple(k.shape) != expect:
@@ -134,18 +133,30 @@ def _checked(w: ComplexPair, k, spec: ConvSpec):
     t_out, f_out = spec.t_out(w.shape[1]), spec.f_out(w.shape[2])
     if f_out < 1 or t_out < 1:
         raise ValueError("output extent < 1")
-    return t_out, f_out
-
-
-def complex_conv2d(w: ComplexPair, k, spec: ConvSpec) -> ComplexPair:
-    """Complex 2-D cross-correlation over (time, frequency): one product of
-    the block weight k (conv_operand) with the unfolded [re; im]."""
+    k = lift(k)
+    re, im, kd = value(w.re), value(w.im), value(k)
+    geometry = ((spec.kernel_t, spec.kernel_f), (spec.stride_t, spec.stride_f),
+                (spec.pad_t, spec.pad_f))
     if spec.transposed:
-        raise ValueError("spec marked transposed; use complex_deconv2d")
-    t_out, f_out = _checked(w, k, spec)
-    cols = unfold(concat([w.re, w.im], axis=0), *_geometry(spec))
-    y = (lift(k) @ cols).reshape(2 * spec.out_ch, t_out, f_out)
-    return ComplexPair(y[:spec.out_ch], y[spec.out_ch:])
+        y = fold(kd @ np.concatenate([re, im]).reshape(c_in, -1), *geometry, (t_out, f_out))
+    else:
+        y = (kd @ unfold(np.concatenate([re, im]), *geometry)).reshape(c_out, t_out, f_out)
+    outs = [y[:spec.out_ch], y[spec.out_ch:]]
+    if not isinstance(k, Var):
+        return ComplexPair(*outs)
+
+    def bwd(gs):
+        dy = np.concatenate([np.zeros_like(o) if g is None else g for g, o in zip(gs, outs)])
+        x = np.concatenate([re, im])
+        if spec.transposed:
+            dy = unfold(dy, *geometry)
+            dx, dk = (kd.T @ dy).reshape(x.shape), dy @ x.reshape(c_in, -1).T
+        else:
+            dy = dy.reshape(c_out, -1)
+            dx, dk = fold(kd.T @ dy, *geometry, x.shape[1:]), dy @ unfold(x, *geometry).T
+        return [dx[:spec.in_ch], dx[spec.in_ch:], dk]
+
+    return ComplexPair(*multi_node(outs, [w.re, w.im, k], bwd))
 
 
 def complex_deconv2d(w: ComplexPair, k, spec: ConvSpec) -> ComplexPair:
@@ -153,11 +164,7 @@ def complex_deconv2d(w: ComplexPair, k, spec: ConvSpec) -> ComplexPair:
     weight k (conv_operand) times [re; im], then fold's overlap-add."""
     if not spec.transposed:
         raise ValueError("spec not marked transposed")
-    t_out, f_out = _checked(w, k, spec)
-    x = concat([w.re, w.im], axis=0)
-    cols = lift(k) @ x.reshape(x.shape[0], -1)
-    y = fold(cols, *_geometry(spec), (t_out, f_out))
-    return ComplexPair(y[:spec.out_ch], y[spec.out_ch:])
+    return complex_conv2d(w, k, spec)
 
 
 class LstmGroup(NamedTuple):
@@ -343,7 +350,10 @@ def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
             for j, g in dy:
                 dh[j] += g[t]
             np.multiply(dh, th, out=d[..., 3 * hd:])
-            dc += dh * go * (1.0 - th * th)
+            np.subtract(1.0, np.multiply(th, th, out=th), out=th)
+            dh *= go   # dc += dh * go * (1 - th * th); the matmul below rewrites dh
+            dh *= th
+            dc += dh
             np.multiply(dc, gc, out=d[..., :hd])
             np.multiply(dc, c_prev, out=d[..., hd:2 * hd])
             np.multiply(dc, gi, out=d[..., 2 * hd:3 * hd])
@@ -372,11 +382,31 @@ def linear_operand(w, b):
     return lift(w).transpose(1, 0), lift(b)
 
 
-def linear(x, w_t, b):
-    """x (..., I) @ w_t + b with w_t (I, O) (linear_operand)."""
-    x = lift(x)
-    y = x.reshape(-1, x.shape[-1]) @ lift(w_t) + lift(b)
-    return y.reshape(*x.shape[:-1], w_t.shape[1])
+def linear(xs, w_t, b):
+    """x @ w_t + b with w_t (I, O) (linear_operand), for one input x (..., I)
+    or a list xs, each (..., I_i) read in place against its own rows of w_t,
+    in order.  While gradients record it is one graph node."""
+    xs = [lift(x) for x in xs] if isinstance(xs, list) else [lift(xs)]
+    w_t, b = lift(w_t), lift(b)
+    record = isinstance(w_t, Var)
+    xd, wd, y = ([x.data for x in xs], w_t.data, b.data) if record else (xs, w_t, b)
+    rows, lo = [], 0
+    for x in xd:   # each input's rows of w_t begin where the previous one's end
+        rows.append(wd[lo:lo + x.shape[-1]])
+        lo += x.shape[-1]
+        y = x.reshape(-1, x.shape[-1]) @ rows[-1] + y
+    y = y.reshape(*xd[0].shape[:-1], -1)
+    if not record:
+        return y
+
+    def bwd(g):
+        g = g.reshape(-1, g.shape[-1])
+        for x, w in zip(xs, rows):
+            x._accum(g @ w.T, own=True)
+        w_t._accum(np.concatenate([v.reshape(-1, v.shape[-1]).T @ g for v in xd]), own=True)
+        b._accum(g.sum(axis=0), own=True)
+
+    return Var._make(y, (*xs, w_t, b), bwd)
 
 
 def complex_linear_operand(pr, pi, br, bi):
@@ -391,7 +421,7 @@ def complex_linear_operand(pr, pi, br, bi):
 def complex_linear(pair: ComplexPair, w, b) -> ComplexPair:
     """Complex dense layer (re + j im) @ (Pr + j Pi)^T + (br + j bi) as one
     real product: [re, im] @ w + b, with (w, b) from complex_linear_operand."""
-    y = linear(concat([pair.re, pair.im], axis=-1), w, b)
+    y = linear([pair.re, pair.im], w, b)
     d = y.shape[-1] // 2
     return ComplexPair(y[..., :d], y[..., d:])
 
@@ -421,7 +451,7 @@ def ft_lstm_block(h: ComplexPair, p: FtLstmParams, t_states=None):
     # recurrences (re/im x forward/backward) step together.
     xf = [x.transpose(1, 2, 3, 0).reshape(f, b * t, c) for x in xs]  # seq F, batch B*T
     ys, _ = lstm_group([x for x in xf for _ in (0, 1)], p.f, [None] * 4)
-    u = [linear(concat(ys[2 * j:2 * j + 2], axis=2), *proj) for j, proj in enumerate(p.proj_f)]
+    u = [linear(ys[2 * j:2 * j + 2], *proj) for j, proj in enumerate(p.proj_f)]
     outs, states = [], []
     for x, uj, t_op, proj, st in zip(xs, u, p.t, p.proj_t, t_states or (None, None)):
         v = x + uj.reshape(f, b, t, c).transpose(3, 0, 1, 2)  # residual, (C, F, B, T)

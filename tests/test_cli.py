@@ -324,6 +324,7 @@ def test_bench_report(desk_weights, capsys, monkeypatch):
     assert 0 < rep["stream_hop_ms_p50"] <= rep["stream_hop_ms_p99"] <= rep["stream_hop_ms_max"]
     assert rep["stream_rtf"] > 0
     assert rep["peak_rss_mb"] > 0
+    assert rep["train_step_s"] > 0 and rep["train_graph_mb"] > 0
     _check_threads_pinned(rep)
 
 

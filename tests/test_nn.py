@@ -2,13 +2,14 @@
 
 import gc
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
 from dcaec import nn
-from dcaec.autodiff import as_var, lift, no_grad, pad, value
+from dcaec.autodiff import as_var, concat, fold, lift, no_grad, pad, unfold, value
+from dcaec.model import ModelConfig
 from dcaec.nn import (ComplexPair, ConvSpec, FtLstmParams,
                       complex_conv2d, complex_deconv2d, complex_linear,
                       complex_linear_operand, complex_lstm, conv_operand,
@@ -926,3 +927,111 @@ def test_deep_filter_gradients_match_the_composition(context):
     ref = _grads_of(run(deep_filter_composed), arrays, project)
     for a, b in zip(fused, ref):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+# ---- convolutions and dense layers as single graph nodes -----------------
+
+_DESK = ModelConfig.desk_mode()
+# every conv spec the configs use, with its input's (time, frequency) extent:
+# the deep filter's as mask_stage calls it, on one frame of context either side
+CONV_SPECS = {"enc0": (_DESK.enc_specs[0], (4, 17)), "enc1": (_DESK.enc_specs[1], (4, 7)),
+              "dec1": (_DESK.dec_specs[0], (4, 7)), "dec0": (_DESK.dec_specs[1], (4, 7)),
+              "df": (replace(_DESK.df_spec, pad_t=0), (6, 17))}
+
+
+def conv_composed(w, k, spec):
+    """complex_conv2d or complex_deconv2d composed of autodiff ops: concat,
+    unfold or fold, and Var products."""
+    geometry = ((spec.kernel_t, spec.kernel_f), (spec.stride_t, spec.stride_f),
+                (spec.pad_t, spec.pad_f))
+    x = concat([w.re, w.im])
+    t_out, f_out = spec.t_out(x.shape[1]), spec.f_out(x.shape[2])
+    if spec.transposed:
+        y = fold(k @ x.reshape(x.shape[0], -1), *geometry, (t_out, f_out))
+    else:
+        y = (k @ unfold(x, *geometry)).reshape(-1, t_out, f_out)
+    return ComplexPair(y[:spec.out_ch], y[spec.out_ch:])
+
+
+def _conv_case(name, rng):
+    """spec, the kernel, and the arrays (re, im, block weight) of a case."""
+    spec, (t, f) = CONV_SPECS[name]
+    kernel = complex_deconv2d if spec.transposed else complex_conv2d
+    kr, ki = rng.normal(size=(2, spec.out_ch, spec.in_ch, spec.kernel_t, spec.kernel_f))
+    return spec, kernel, (*rng.normal(size=(2, spec.in_ch, t, f)),
+                          conv_operand(kr, ki, spec.transposed).data)
+
+
+@pytest.mark.parametrize("only_re", [False, True])
+@pytest.mark.parametrize("name", sorted(CONV_SPECS))
+def test_conv_gradients_match_the_composition(name, only_re):
+    """With only_re, the im output receives no gradient."""
+    rng = np.random.default_rng(97)
+    spec, kernel, arrays = _conv_case(name, rng)
+    out_shape = (spec.out_ch, spec.t_out(arrays[0].shape[1]), spec.f_out(arrays[0].shape[2]))
+    r1, r2 = rng.normal(size=(2, *out_shape))
+
+    def run(op):
+        return lambda re, im, k: op(ComplexPair(re, im), k, spec)
+
+    def project(out):
+        return (out.re * r1).sum() if only_re else (out.re * r1).sum() + (out.im * r2).sum()
+
+    fused = _grads_of(run(kernel), arrays, project)
+    ref = _grads_of(run(conv_composed), arrays, project)
+    for a, b in zip(fused, ref):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("name", ["enc0", "dec0"])
+def test_recorded_conv_keeps_only_its_output(name):
+    spec, kernel, arrays = _conv_case(name, np.random.default_rng(99))
+    re, im, k = (as_var(np.repeat(a, 64, axis=1)) if a.ndim == 3 else as_var(a) for a in arrays)
+    out, kept = _kept_bytes(lambda: kernel(ComplexPair(re, im), k, spec))
+    parts = out.re.data.nbytes + out.im.data.nbytes
+    assert kept <= 1.25 * parts, (kept, parts)
+
+
+def linear_composed(xs, w_t, b):
+    """linear composed of autodiff ops: the inputs joined, one Var product, a bias add."""
+    x = concat(xs, axis=-1)
+    y = x.reshape(-1, x.shape[-1]) @ w_t + b
+    return y.reshape(*x.shape[:-1], -1)
+
+
+@pytest.mark.parametrize("widths", [(5,), (3, 4)])
+def test_linear_gradients_match_the_composition(widths):
+    """One input, and a two-part list each read against its own rows."""
+    rng = np.random.default_rng(100)
+    xs = [rng.normal(size=(3, 4, i)) for i in widths]
+    arrays = (*xs, rng.normal(size=(sum(widths), 6)), rng.normal(size=6))
+    r = rng.normal(size=(3, 4, 6))
+    n = len(widths)
+
+    def run(op):
+        return lambda *v: op(list(v[:n]) if n > 1 else v[0], *v[n:])
+
+    fused = _grads_of(run(linear), arrays, lambda y: (y * r).sum())
+    ref = _grads_of(lambda *v: linear_composed(list(v[:n]), *v[n:]), arrays,
+                    lambda y: (y * r).sum())
+    for a, b in zip(fused, ref):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_linear_arrays_match_graph(dtype):
+    rng = np.random.default_rng(101)
+    x1, x2 = (rng.normal(size=(2, 3, 7, 4))).astype(dtype)
+    w, b = rng.normal(size=(8, 5)).astype(dtype), rng.normal(size=5).astype(dtype)
+    _assert_same_bits(*_both_paths(lambda: linear(x1, w[:4], b)))
+    _assert_same_bits(*_both_paths(lambda: linear([x1, x2], w, b)))
+
+
+def test_recorded_linear_keeps_only_its_output():
+    rng = np.random.default_rng(102)
+    xs = [as_var(x) for x in rng.normal(size=(2, 50, 40, 16))]
+    w, b = as_var(rng.normal(size=(32, 8))), as_var(rng.normal(size=8))
+    out, kept = _kept_bytes(lambda: linear(xs, w, b))
+    assert kept <= 1.25 * out.data.nbytes, (kept, out.data.nbytes)
