@@ -1,9 +1,13 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A Var wraps an ndarray and records the operations applied to it; calling
+A node is a Var: its value, plus one (parent, gradient function) pair per
+parent that is a Var.  A gradient function maps the node's gradient to that
+parent's share of it; non-Var operands are constants and get neither a pair
+nor a gradient.  An op computes gradients and never writes one: calling
 ``backward`` on a scalar Var walks the recorded graph in reverse topological
-order and accumulates gradients into every Var reached.  Non-Var operands are
-treated as constants and receive no gradient.
+order and alone adds each share into its parent's ``grad``, summed down to
+the parent's shape.  The binary operators are one table of (op, gradient to
+a, gradient to b), shared by both operand orders.
 
 Vars exist only where gradients are recorded.  Kernels pass their inputs
 through ``lift``: while recording it makes them Vars, under ``no_grad()`` it
@@ -12,7 +16,7 @@ unwraps Vars to their arrays.  The free functions below (``pad``,
 only definitions of their ops: each builds graph nodes when an operand is a
 Var and otherwise does plain numpy, so the same kernel code runs on Vars for
 training and arrays in, arrays out for inference.  An op that computes its
-own gradients, such as ``nn.lstm_group``'s recurrence loop, the
+inputs' gradients jointly, such as ``nn.lstm_group``'s recurrence loop, the
 convolutions or the deep filter, runs on arrays either way and, while
 recording, becomes one node through ``multi_node``.
 
@@ -22,6 +26,8 @@ Var sets ``__array_ufunc__ = None``, so an ndarray on the left of ``+``,
 
 import contextlib
 import math
+import operator
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -40,30 +46,32 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _unbroadcast(g, shape):
-    """Reduce gradient g (broadcast shape) back down to ``shape``."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+def _arith(op, da, db):
+    """A binary operator of Var and its reflected form: op on the operands'
+    arrays, and the gradients da(g, a, b) and db(g, a, b) it sends to a and
+    to b, written once for both operand orders."""
+
+    def node(a, b):
+        ad, bd = _operand(a), _operand(b)
+        return Var._make(op(ad, bd), (a, b), (lambda g: da(g, ad, bd), lambda g: db(g, ad, bd)))
+
+    return (lambda self, other: node(self, other)), (lambda self, other: node(other, self))
 
 
 class Var:
-    """Node in the autodiff graph holding an ndarray value."""
+    """A node of the autodiff graph: its value ``data``; ``grad``, set once
+    backward reaches it; and ``_prev``, one (parent, gradient function) pair
+    per Var parent, empty for a leaf, under no_grad and once backward has
+    passed.  A gradient function maps the node's gradient to the parent's
+    share, in the parent's shape or one that broadcasts to it."""
 
-    __slots__ = ("data", "grad", "_prev", "_backward")
+    __slots__ = ("data", "grad", "_prev")
     __array_ufunc__ = None  # ndarray <op> Var calls Var's reflected op
 
-    def __init__(self, data, _prev=(), _backward=None):
+    def __init__(self, data, _prev=()):
         self.data = _float(data)
         self.grad = None
         self._prev = _prev
-        self._backward = _backward
 
     @property
     def shape(self):
@@ -80,138 +88,37 @@ class Var:
     def __repr__(self):
         return f"Var(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    # ---- graph construction helpers -------------------------------------
-
     @staticmethod
-    def _make(data, parents, backward):
+    def _make(data, parents, grads):
+        """A node of value data that sends grads[i](g) to parents[i], for the
+        parents that are Vars; while gradients do not record, a leaf."""
         if _GRAD_ENABLED:
-            return Var(data, tuple(p for p in parents if isinstance(p, Var)), backward)
+            return Var(data, tuple((p, f) for p, f in zip(parents, grads) if isinstance(p, Var)))
         return Var(data)
-
-    def _accum(self, g, own=False):
-        """Accumulate gradient g.
-
-        own=True promises that g is a freshly allocated array the caller will
-        not reuse, so it can be adopted without a defensive copy.
-        """
-        if self.grad is None:
-            if own and g.flags.owndata and g.dtype == self.data.dtype:
-                self.grad = g.reshape(self.data.shape)
-            else:
-                self.grad = np.array(g, dtype=self.data.dtype, copy=True).reshape(self.data.shape)
-        else:
-            self.grad += g.reshape(self.data.shape)
 
     # ---- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        a, b = self, other
-        bd = b.data if isinstance(b, Var) else _const(b)
-        out_data = a.data + bd
-
-        def bwd(g):
-            ga = _unbroadcast(g, a.data.shape)
-            a._accum(ga, own=ga is not g)
-            if isinstance(b, Var):
-                gb = _unbroadcast(g, b.data.shape)
-                b._accum(gb, own=gb is not g)
-
-        return Var._make(out_data, (a, b), bwd)
-
-    __radd__ = __add__
+    __add__, __radd__ = _arith(operator.add, lambda g, a, b: g, lambda g, a, b: g)
+    __sub__, __rsub__ = _arith(operator.sub, lambda g, a, b: g, lambda g, a, b: -g)
+    __mul__, __rmul__ = _arith(operator.mul, lambda g, a, b: g * b, lambda g, a, b: g * a)
+    __truediv__, __rtruediv__ = _arith(operator.truediv, lambda g, a, b: g / b,
+                                       lambda g, a, b: -g * a / (b * b))
+    # swap the matrix axes only; leading axes broadcast like any operand
+    __matmul__, __rmatmul__ = _arith(operator.matmul, lambda g, a, b: g @ b.swapaxes(-1, -2),
+                                     lambda g, a, b: a.swapaxes(-1, -2) @ g)
 
     def __neg__(self):
-        a = self
-
-        def bwd(g):
-            a._accum(-g, own=True)
-
-        return Var._make(-a.data, (a,), bwd)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Var) else -_const(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        a, b = self, other
-        bd = b.data if isinstance(b, Var) else _const(b)
-        out_data = a.data * bd
-
-        def bwd(g):
-            a._accum(_unbroadcast(g * bd, a.data.shape), own=True)
-            if isinstance(b, Var):
-                b._accum(_unbroadcast(g * a.data, b.data.shape), own=True)
-
-        return Var._make(out_data, (a, b), bwd)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self, other
-        bd = b.data if isinstance(b, Var) else _const(b)
-        out_data = a.data / bd
-
-        def bwd(g):
-            a._accum(_unbroadcast(g / bd, a.data.shape), own=True)
-            if isinstance(b, Var):
-                b._accum(_unbroadcast(-g * a.data / (bd * bd), b.data.shape), own=True)
-
-        return Var._make(out_data, (a, b), bwd)
-
-    def __rtruediv__(self, other):
-        a = self
-        c = _const(other)
-        out_data = c / a.data
-
-        def bwd(g):
-            a._accum(_unbroadcast(-g * c / (a.data * a.data), a.data.shape), own=True)
-
-        return Var._make(out_data, (a,), bwd)
-
-    def __matmul__(self, other):
-        a, b = self, other
-        bd = b.data if isinstance(b, Var) else np.asarray(b)
-        out_data = a.data @ bd
-
-        def bwd(g):
-            # swap the matrix axes only; leading axes broadcast like any operand
-            a._accum(_unbroadcast(g @ bd.swapaxes(-1, -2), a.data.shape), own=True)
-            if isinstance(b, Var):
-                b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), own=True)
-
-        return Var._make(out_data, (a, b), bwd)
-
-    def __rmatmul__(self, other):
-        a = self
-        c = np.asarray(other)
-        out_data = c @ a.data
-
-        def bwd(g):
-            a._accum(_unbroadcast(c.swapaxes(-1, -2) @ g, a.data.shape), own=True)
-
-        return Var._make(out_data, (a,), bwd)
+        return _unary(self, -self.data, operator.neg)
 
     # ---- elementwise functions ------------------------------------------
 
     def tanh(self):
-        a = self
-        out_data = np.tanh(a.data)
-
-        def bwd(g):
-            a._accum(g * (1.0 - out_data * out_data), own=True)
-
-        return Var._make(out_data, (a,), bwd)
+        out = np.tanh(self.data)
+        return _unary(self, out, lambda g: g * (1.0 - out * out))
 
     def sigmoid(self):
-        a = self
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-        def bwd(g):
-            a._accum(g * out_data * (1.0 - out_data), own=True)
-
-        return Var._make(out_data, (a,), bwd)
+        out = 1.0 / (1.0 + np.exp(-self.data))
+        return _unary(self, out, lambda g: g * out * (1.0 - out))
 
     # ---- shape ops -------------------------------------------------------
 
@@ -228,35 +135,38 @@ class Var:
         return _unary(self, self.data.transpose(axes), lambda g: g.transpose(inv))
 
     def __getitem__(self, idx):
-        a = self
+        data = self.data
 
-        def bwd(g):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[idx] += g
+        def grad(g):
+            out = np.zeros_like(data)
+            out[idx] = g
+            return out
 
-        return Var._make(a.data[idx], (a,), bwd)
+        return _unary(self, data[idx], grad)
 
     # ---- reductions ------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.data.shape
 
-        def bwd(g):
-            gg = np.asarray(g)
+        def grad(g):
             if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a._accum(np.broadcast_to(gg, a.data.shape))
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, shape)
 
-        return Var._make(out_data, (a,), bwd)
+        return _unary(self, self.data.sum(axis=axis, keepdims=keepdims), grad)
 
     # ---- backward --------------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every leaf's grad.  A graph is
-        backpropagated once: each node drops its parents and its closure once
-        its backward has run, so the graph is freed as backward proceeds."""
+        """Accumulate d(self)/d(leaf) into every leaf's grad.
+
+        The one place a gradient is written.  In reverse topological order,
+        each node's gradient g, complete once every child has sent its share,
+        goes through the node's gradient functions, and each result is added
+        into its parent's grad (_accumulate).  A graph is backpropagated
+        once: each node drops its pairs and its gradient once they have run,
+        so the graph is freed as backward proceeds."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         order = []
@@ -271,16 +181,39 @@ class Var:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._prev:
+            for p, _ in node._prev:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            g = node.grad
+            if node._prev and g is not None:
+                for p, grad in node._prev:
+                    _accumulate(p, grad(g), g)
                 node.grad = None  # interior gradients are no longer needed
-            node._prev, node._backward = (), None
+            node._prev = ()
+
+
+def _accumulate(p, gp, g):
+    """Add gp, the share of a node's gradient g sent to its parent p, into
+    p.grad, summed over the axes it broadcast along.  p's first share is
+    adopted when it is an array of p's dtype that owns its memory and is not
+    g itself, so that no other node or leaf can hold it; else it is copied."""
+    shape = p.data.shape
+    if gp.size != p.data.size:
+        extra = gp.ndim - len(shape)
+        if extra > 0:
+            gp = gp.sum(axis=tuple(range(extra)))
+        axes = tuple(i for i, n in enumerate(shape) if n == 1 and gp.shape[i] != 1)
+        if axes:
+            gp = gp.sum(axis=axes, keepdims=True)
+    if p.grad is not None:
+        p.grad += gp.reshape(shape)
+        return
+    if gp is g or not gp.flags.owndata or gp.dtype != p.data.dtype:
+        gp = np.array(gp, dtype=p.data.dtype)
+    p.grad = gp if gp.shape == shape else gp.reshape(shape)
 
 
 # ---- free functions ------------------------------------------------------
@@ -292,9 +225,12 @@ def _float(x):
     return x if x.dtype.kind == "f" else x.astype(np.float64)
 
 
-def _const(x):
-    """A constant operand.  A Python number stays one: it adopts the Var's
-    dtype, where a 0-d float64 array would raise a float32 Var to float64."""
+def _operand(x):
+    """An arithmetic operand's array.  A Python number stays one: it adopts
+    the other operand's dtype, where a 0-d float64 array would raise a
+    float32 Var to float64."""
+    if isinstance(x, Var):
+        return x.data
     return x if isinstance(x, (int, float)) else np.asarray(x)
 
 
@@ -317,11 +253,10 @@ def value(x):
 
 
 def _unary(x, out, grad):
-    """out itself for an array x; for a Var x, a node whose backward hands
-    grad(g) to x."""
+    """out itself for an array x; for a Var x, a node that sends grad(g) to x."""
     if not isinstance(x, Var):
         return out
-    return Var._make(out, (x,), lambda g: x._accum(grad(g)))
+    return Var._make(out, (x,), (grad,))
 
 
 def pad(x, pad_width):
@@ -373,49 +308,39 @@ def concat(vars_, axis=0):
     if not any(isinstance(v, Var) for v in vars_):
         return np.concatenate(vars_, axis=axis)
     datas = [value(v) for v in vars_]
-    out_data = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for v, lo, hi in zip(vars_, offsets[:-1], offsets[1:]):
-            if isinstance(v, Var):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                v._accum(g[tuple(idx)])
-
-    return Var._make(out_data, vars_, bwd)
+    out = np.concatenate(datas, axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
+    bounds = accumulate((d.shape[axis] for d in datas), initial=0)
+    return Var._make(out, vars_, [lambda g, part=(*lead, slice(lo, hi)): g[part]
+                                  for lo, hi in pairwise(bounds)])
 
 
 def multi_node(outs, inputs, backward):
     """One graph node for an op with several outputs.
 
     outs: the op's output arrays; inputs: its operands, Vars or constants.
-    Returns one Var per output.  backward(gs) runs once, after every output's
-    gradient is in, with gs[i] the gradient of outs[i] or None where none
-    reached it.  It returns one gradient or None per input, each an array
-    it does not reuse; every Var input accumulates its own, so an input
-    passed twice gets the sum.
+    Returns one Var per output, each the child of one core node whose
+    parents are the inputs.  backward(gs), with gs[i] the gradient of
+    outs[i] or None where none reached it, runs once, when the core's first
+    input asks for its gradient, so after every output's gradient is in.  It
+    returns one gradient per input, and each is handed over once.
     """
     gs = [None] * len(outs)
+    grads = []
 
-    def bwd(_):
-        grads = backward(gs)
-        gs[:] = [None] * len(outs)
-        for x, g in zip(inputs, grads):
-            if g is not None and isinstance(x, Var):
-                x._accum(g, own=True)
+    def take(i):
+        if not grads:
+            grads.extend(backward(gs))
+            gs.clear()
+        g, grads[i] = grads[i], None
+        return g
 
-    core = Var._make(np.zeros((), outs[0].dtype), inputs, bwd)
+    def put(i, g):
+        gs[i] = g
+        return np.zeros(())   # only so that core's backward runs
 
-    def out(i, data):
-        def bwd_out(g):
-            gs[i] = g
-            core.grad = core.data  # not None, so that core's backward runs
-
-        return Var._make(data, (core,), bwd_out)
-
-    return [out(i, d) for i, d in enumerate(outs)]
+    core = Var._make(np.zeros(()), inputs, [lambda _, i=i: take(i) for i in range(len(inputs))])
+    return [Var._make(d, (core,), (lambda g, i=i: put(i, g),)) for i, d in enumerate(outs)]
 
 
 def log10(x):
@@ -430,10 +355,4 @@ def dot(a, b):
     out = np.dot(ad, bd)
     if not isinstance(a, Var) and not isinstance(b, Var):
         return out
-
-    def bwd(g):
-        for x, other in ((a, bd), (b, ad)):
-            if isinstance(x, Var):
-                x._accum(g * other, own=True)
-
-    return Var._make(out, (a, b), bwd)
+    return Var._make(out, (a, b), (lambda g: g * bd, lambda g: g * ad))

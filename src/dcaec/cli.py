@@ -125,13 +125,14 @@ def cmd_process(args):
             for i in range(0, len(y), cfg.stft.hop):
                 chunks.append(sess.feed(y[i:i + cfg.stft.hop], x[i:i + cfg.stft.hop]))
             chunks.append(sess.flush())
-            s_hat = AudioBuffer(np.concatenate(chunks), RATE)
+            s_hat = np.concatenate(chunks)
             rep["latency_samples"] = sess.algorithmic_latency
             rep["mask_clamped_bins"] = sess.mask_clamped_bins
         else:
-            _, s_hat = forward(mic, far, store, cfg, report=rep)
+            s_hat = forward(mic, far, store, cfg, report=rep)[1].samples
     wall = time.perf_counter() - t0
-    clipped = write_wav(args.out, s_hat)
+    # the network's last frame reaches past the mic's end into zero padding
+    clipped = write_wav(args.out, AudioBuffer(s_hat[:len(mic)], RATE))
     rep["rtf"] = wall / mic.duration if mic.duration else None  # undefined without audio
     rep["processing_seconds"] = wall
     rep["audio_seconds"] = mic.duration
@@ -183,6 +184,8 @@ def _load_corpus_dir(path, seed, n_rirs):
 
 
 def cmd_simulate(args):
+    if not args.clip_seconds > 0:
+        raise InputError(f"--clip-seconds must be positive, got {args.clip_seconds}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ranges = _parse_ranges_file(args.ranges) if args.ranges else SceneRanges()
@@ -262,6 +265,8 @@ def cmd_traintoy(args):
     for flag in ("steps", "examples"):
         if getattr(args, flag) < 1:
             raise InputError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    if not args.chunk_seconds > 0:
+        raise InputError(f"--chunk-seconds must be positive, got {args.chunk_seconds}")
     cfg = _config_by_name(args.config, seed=args.seed)
     store = init_weights(cfg, seed=args.seed)
     corpus = synthetic_corpus(seed=args.seed,

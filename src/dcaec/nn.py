@@ -37,11 +37,14 @@ F-stage has batch 1, the T-stage and the complex LSTM one step), and a
 span's steps round exactly as they do in a longer one, so the span changes
 no forward output; the backward sums the weight gradients span by span.
 
-A recorded op keeps only what its backward reads: the convolutions,
-`linear` (which reads each of a list of inputs against its own rows of the
-weight), `prelu` and `deep_filter_apply` are one graph node each, which
-keeps its output and reads its inputs' values again in backward, so no
-padded, joined or unfolded input or pre-bias product lives in the graph.
+A recorded op keeps only what its gradients read.  `linear` (which reads
+each of a list of inputs against its own rows of the weight) and `prelu`
+are one graph node each, with one gradient function per input; the
+convolutions and `deep_filter_apply`, which compute their inputs' gradients
+together, are one `multi_node` each.  Each keeps its output and reads its
+inputs' values again in backward, so no padded, joined or unfolded input or
+pre-bias product lives in the graph.  No kernel writes a gradient:
+`Var.backward` sums down and accumulates what the functions return.
 """
 
 from dataclasses import dataclass
@@ -50,8 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import (Var, _unbroadcast, concat, contiguous, fold, lift, multi_node, pad,
-                       unfold, value)
+from .autodiff import Var, concat, contiguous, fold, lift, multi_node, pad, unfold, value
 
 # The bytes of one LSTM group's gate buffer.  Below about 6 MiB a paper-mode
 # offline block page-faults afresh, as glibc's dynamic mmap threshold would
@@ -399,14 +401,13 @@ def linear(xs, w_t, b):
     if not record:
         return y
 
-    def bwd(g):
-        g = g.reshape(-1, g.shape[-1])
-        for x, w in zip(xs, rows):
-            x._accum(g @ w.T, own=True)
-        w_t._accum(np.concatenate([v.reshape(-1, v.shape[-1]).T @ g for v in xd]), own=True)
-        b._accum(g.sum(axis=0), own=True)
+    def flat(g):
+        return g.reshape(-1, g.shape[-1])
 
-    return Var._make(y, (*xs, w_t, b), bwd)
+    grads = [lambda g, w=w: flat(g) @ w.T for w in rows]
+    grads += [lambda g: np.concatenate([flat(v).T @ flat(g) for v in xd]),
+              lambda g: flat(g).sum(axis=0)]
+    return Var._make(y, (*xs, w_t, b), grads)
 
 
 def complex_linear_operand(pr, pi, br, bi):
@@ -549,9 +550,5 @@ def prelu(x, alpha):
     out = np.maximum(xd, 0) + ad * np.minimum(xd, 0)
     if not isinstance(x, Var):
         return out
-
-    def bwd(g):
-        x._accum(np.where(xd >= 0, g, g * ad), own=True)
-        alpha._accum(_unbroadcast(g * np.minimum(xd, 0), ad.shape), own=True)
-
-    return Var._make(out, (x, alpha), bwd)
+    return Var._make(out, (x, alpha), (lambda g: np.where(xd >= 0, g, g * ad),
+                                       lambda g: g * np.minimum(xd, 0)))

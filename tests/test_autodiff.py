@@ -48,7 +48,6 @@ def test_no_grad_blocks_recording():
     p = as_var(np.ones(3))
     with no_grad():
         out = (p * p).sum()
-    assert out._backward is None
     assert out._prev == ()
 
 
@@ -345,8 +344,8 @@ def test_shared_subexpression_accumulates():
 
 
 def test_backward_releases_the_graph():
-    """Each node lets go of its parents and closure once its backward has
-    run; the leaves keep gradients equal to the hand-derived ones."""
+    """Each node lets go of its parents and gradient functions once they
+    have run; the leaves keep gradients equal to the hand-derived ones."""
     rng = np.random.default_rng(3)
     p, q = as_var(rng.normal(size=(2, 3))), as_var(rng.normal(size=(2, 3)))
     y = p * p  # shared by both terms
@@ -355,7 +354,44 @@ def test_backward_releases_the_graph():
     np.testing.assert_allclose(p.grad, 2 * p.data * (q.data + 1), rtol=1e-15)
     np.testing.assert_allclose(q.grad, p.data ** 2, rtol=1e-15)
     for node in (loss, y):
-        assert node._prev == () and node._backward is None
+        assert node._prev == ()
+
+
+# per case: the leaves' shapes, the op, and each leaf's hand-derived
+# gradient for the output gradient c
+_ADOPTION_CASES = {
+    "add": ([(2, 3), (2, 3)], lambda a, b: a + b, lambda c, a, b: (c, c)),
+    "sub": ([(2, 3), (2, 3)], lambda a, b: a - b, lambda c, a, b: (c, -c)),
+    "mul": ([(2, 3), (2, 3)], lambda a, b: a * b, lambda c, a, b: (c * b, c * a)),
+    "add_row": ([(2, 3), (3,)], lambda a, row: a + row, lambda c, a, row: (c, c.sum(axis=0))),
+    "reshape": ([(2, 3)], lambda x: x.reshape(3, 2), lambda c, x: (c.reshape(2, 3),)),
+    "getitem": ([(2, 3)], lambda x: x[:, 1:], lambda c, x: (np.pad(c, ((0, 0), (1, 0))),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ADOPTION_CASES))
+def test_backward_gives_each_leaf_its_own_gradient(case):
+    """backward adopts an op's gradient array only where nothing else holds
+    it: each leaf's grad equals the hand-derived one and is its own array,
+    shared with no other leaf's grad and no node's value, so writing into
+    it changes nothing else."""
+    shapes, op, expected = _ADOPTION_CASES[case]
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    arrays = [rng.normal(size=s) for s in shapes]
+    leaves = [as_var(a) for a in arrays]
+    out = op(*leaves)
+    c = rng.normal(size=out.shape)
+    (out * c).sum().backward()
+    grads = [leaf.grad for leaf in leaves]
+    for g, want in zip(grads, expected(c, *arrays)):
+        np.testing.assert_array_equal(g, want)
+    for i, g in enumerate(grads):
+        rest = [out.data, c, *arrays, *grads[:i], *grads[i + 1:]]
+        assert not any(np.shares_memory(g, h) for h in rest)
+        kept = [h.copy() for h in rest]
+        g += 1.0
+        for h, k in zip(rest, kept):
+            np.testing.assert_array_equal(h, k)
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,9 +3,11 @@
 import contextlib
 import json
 import re
+import shlex
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from dcaec import cli
 from dcaec.cli import main
 from dcaec.dsp import RATE, AudioBuffer
 from dcaec.model import MASK_CLAMP, ModelConfig, count_params, init_weights
-from dcaec.wavio import write_wav
+from dcaec.wavio import read_wav, write_wav
 from dcaec.weights_io import load_weights, save_weights
 from test_io import meta_record, packed
 
@@ -234,6 +236,39 @@ def test_metrics_json(tmp_path, capsys):
     assert rep["erle_db"] is not None
 
 
+def test_simulate_process_metrics_pipeline(tmp_path, desk_weights, capsys):
+    """The README's simulate -> process -> metrics pipeline on one scene whose
+    length is no whole number of hops: process writes as many samples as the
+    mic recording, offline and streaming, so metrics exits 0."""
+    scenes = tmp_path / "scenes"
+    main(["simulate", "--recipes", "1", "--seed", "0", "--rirs", "2", "--clip-seconds", "1.0",
+          "--outdir", str(scenes)])
+    files = json.loads((scenes / "manifest.jsonl").read_text())["files"]
+    mic, far, near = (str(scenes / files[k]) for k in ("y", "x", "s"))
+    assert len(read_wav(mic)) % 160 != 0
+    for mode in ([], ["--streaming"]):
+        out = str(tmp_path / "clean.wav")
+        main(["process", "--weights", str(desk_weights), "--mic", mic, "--farend", far,
+              "--out", out, *mode])
+        assert len(read_wav(out)) == len(read_wav(mic))
+        capsys.readouterr()
+        main(["metrics", "--est", out, "--ref", near, "--mic", mic])   # exits only on error
+        assert json.loads(capsys.readouterr().out)["si_snr_db"] is not None
+
+
+def test_readme_cli_lines_parse():
+    """Every dcaec command in the README's CLI block parses, so a renamed
+    subcommand or flag fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+             if line.startswith("dcaec ")]
+    assert lines
+    parser = cli.build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv).command == argv[0]
+
+
 def test_metrics_length_mismatch_exit_2(tmp_path, capsys):
     a = _wav(tmp_path / "a.wav", np.zeros(1000) + 0.1)
     b = _wav(tmp_path / "b.wav", np.zeros(500) + 0.1)
@@ -285,12 +320,22 @@ def test_simulate_ranges_file_unknown_key_exit_2(tmp_path, capsys):
     assert "ser_dbx" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--steps", "--examples"])
-def test_traintoy_rejects_counts_below_one(flag, capsys):
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param("traintoy", "--steps", "0", id="--steps"),
+    pytest.param("traintoy", "--examples", "0", id="--examples"),
+    *(pytest.param(cmd, flag, v, id=f"{flag}={v}")
+      for cmd, flag in (("traintoy", "--chunk-seconds"), ("simulate", "--clip-seconds"))
+      for v in ("0", "-1")),
+])
+def test_traintoy_rejects_counts_below_one(command, flag, value, tmp_path, capsys):
+    """A count below one or a duration of 0 s or less exits 2, and the error
+    names the flag."""
+    argv = {"traintoy": ["traintoy", "--config", "desk", "--chunk-seconds", "0.25"],
+            "simulate": ["simulate", "--recipes", "1", "--outdir", str(tmp_path)]}[command]
     with pytest.raises(SystemExit) as e:
-        main(["traintoy", "--config", "desk", "--chunk-seconds", "0.25", flag, "0"])
+        main(argv + [flag, value])
     assert e.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert f"{flag} must be" in capsys.readouterr().err
 
 
 def test_traintoy_smoke(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dcaec import gradcheck, model, training
-from dcaec.autodiff import Var, _unbroadcast, as_var, value
+from dcaec.autodiff import Var, as_var, value
 from dcaec.dsp import RATE, AudioBuffer, StftConfig, istft, stft, synthesis
 from dcaec.metrics import ChunkPlan, seg_sisnr, si_snr
 from dcaec.model import ModelConfig, init_weights
@@ -287,12 +287,8 @@ def test_composed_check_fails_a_prelu_without_its_slope(monkeypatch):
     def prelu_without_slope(x, alpha):
         x, alpha = as_var(x), as_var(alpha)
         xd, ad = value(x), value(alpha)
-
-        def bwd(g):
-            x._accum(g)
-            alpha._accum(_unbroadcast(g * np.minimum(xd, 0), ad.shape))
-
-        return Var._make(np.maximum(xd, 0) + ad * np.minimum(xd, 0), (x, alpha), bwd)
+        return Var._make(np.maximum(xd, 0) + ad * np.minimum(xd, 0), (x, alpha),
+                         (lambda g: g, lambda g: g * np.minimum(xd, 0)))
 
     monkeypatch.setattr(model, "activation", prelu_without_slope)
     worst, redrawn = gradcheck.check_composed_loss(np.random.default_rng(1000))
