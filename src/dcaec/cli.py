@@ -312,7 +312,10 @@ def cmd_bench(args):
         t0 = time.perf_counter()
         forward(y, x, store, cfg)
         wall = time.perf_counter() - t0
+        tracemalloc.start()   # what a built session keeps, untimed
         sess = StreamingSession(store, cfg)
+        session_mb = tracemalloc.get_traced_memory()[0] / 2 ** 20
+        tracemalloc.stop()
         hop_s = []
         for i in range(0, n_stream, hop):
             t0 = time.perf_counter()
@@ -339,6 +342,7 @@ def cmd_bench(args):
         "stream_rtf": float(hop_ms.sum()) / 1000.0 / (n_stream / RATE),
         "train_step_s": step_s,
         "train_graph_mb": graph_mb,
+        "session_mb": session_mb,
         "threads_pinned": pinned,
         "latency_samples": sess.algorithmic_latency,
         "latency_ms": 1000.0 * sess.algorithmic_latency / RATE,

@@ -485,23 +485,24 @@ def forward(y: AudioBuffer, x: AudioBuffer, store: WeightStore, cfg: ModelConfig
 class StreamingSession:
     """Frame-by-frame inference with carried recurrent state.
 
-    Feed 160-sample chunks of the microphone and far-end signals; output
-    chunks appear after the algorithmic latency of win_len + hop samples
-    (analysis window plus one frame of deep-filter lookahead).  Every call
-    runs one block (`_run`): the whole frames of the pending samples go
-    through the network's two stages at once.  Between blocks the session
-    carries the T-LSTM and cLSTM states, the deep filter's context (the last
-    two frames' spectra and decoder outputs) and the overlap-add tail, so
-    memory stays flat.  `feed` runs one hop, `flush` the zero-padded tail and
-    offline `forward` blocks of BLOCK_FRAMES hops.  A block's layer outputs
-    and carried states are checked for finiteness before the session takes
-    them on.
+    Feed 160-sample chunks of the microphone and far-end signals; output chunks
+    appear after the algorithmic latency of win_len + hop samples (analysis
+    window plus one frame of deep-filter lookahead).  Every call runs one block
+    (`_run`): the whole frames of the pending samples go through the network's
+    two stages at once.  Between blocks the session carries the T-LSTM and
+    cLSTM states, the deep filter's context (the last two frames' spectra and
+    decoder outputs) and the overlap-add tail, so memory stays flat.  `feed`
+    runs one hop, `flush` the zero-padded tail and offline `forward` blocks of
+    BLOCK_FRAMES hops.  A block's layer outputs and carried states are checked
+    for finiteness before the session takes them on.  The session reads its
+    store's float32 tensors in place (each dense w^T and LSTM w_ih^T is a view
+    of one), so nobody should change the store in place while a session runs.
     """
 
     def __init__(self, store: WeightStore, cfg: ModelConfig):
         validate_store(store, cfg)
         self.cfg = cfg
-        with no_grad():  # float32 operands, held in place of the weights
+        with no_grad():  # float32 operands, held in place of the weights or views of them
             self.ops = layer_operands(
                 {k: np.asarray(v, dtype=np.float32) for k, v in store.tensors.items()}, cfg)
         self.hop = cfg.stft.hop

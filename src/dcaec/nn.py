@@ -17,10 +17,12 @@ Recurrences go through one kernel, `lstm_group`, which advances K independent
 LSTMs (each with its own weights and direction) over inputs of one length
 and batch, one Python step per time step for all K: the stacked recurrent
 product into one (K, N, 4H) buffer, plus the step's gate inputs, then
-`lstm_cell`, which takes every gate activation from one tanh, with
-sigmoid(g) = tanh(g / 2) / 2 + 1 / 2 on halved sigmoid-gate inputs.  On
-arrays the loop runs alone; while gradients record it also keeps every
-cell state, and the group becomes one graph node with a hand-written
+`lstm_cell`, which takes every gate activation from one tanh on halved
+sigmoid-gate inputs, sigmoid(g) = tanh(g / 2) / 2 + 1 / 2: `lstm_operand`
+halves them in the w_hh^T and b it copies anyway, and each span's x @ w_ih^T
+is halved where b is added, so w_ih^T stays a view of the stored weight.  On
+arrays the loop runs alone; while gradients record it also keeps every cell
+state, and the group becomes one graph node with a hand-written
 backpropagation through time, which rebuilds the gate activations from the
 kept hidden and cell states.  The F-T block's F-stage (re/im x
 forward/backward) runs as K = 4, the complex LSTM's two recurrences (each
@@ -172,7 +174,7 @@ def complex_deconv2d(w: ComplexPair, k, spec: ConvSpec) -> ComplexPair:
 class LstmGroup(NamedTuple):
     """K LSTM recurrences in the layout lstm_group reads (see lstm_operand)."""
 
-    w_ih: list      # per recurrence, w_ih^T (I, 4H), sigmoid gates halved
+    w_ih: list      # per recurrence, w_ih^T (I, 4H): a view of the stored w_ih
     w_hh: object    # (K, H, 4H): every w_hh^T, stacked in C order, sigmoid gates halved
     b: object       # (K, 4H): every b_ih + b_hh, sigmoid gates halved
     reverse: tuple  # per recurrence, whether it scans from the end
@@ -186,32 +188,31 @@ def _halves(h4, dtype):
 def lstm_operand(cells):
     """cells: K (w_ih (4H, I), w_hh (4H, H), b_ih (4H,), b_hh (4H,), reverse)
     in the stored layout, gate order (input, forget, cell, output).  Halves
-    the sigmoid gates' columns of w_ih^T, w_hh^T and b: no kernel scales them."""
+    the sigmoid gates' columns of w_hh^T and b; w_ih^T stays a view."""
     w_ih, w_hh, b_ih, b_hh, reverse = zip(*cells)
     k, hd = len(cells), w_hh[0].shape[1]
     half = _halves(4 * hd, value(w_hh[0]).dtype)
     # C order: a strided w_hh^T about doubled the paper F-stage's time
     w_hh = concat([contiguous(lift(w).transpose(1, 0)) for w in w_hh]).reshape(k, hd, 4 * hd)
     b = concat([lift(x) + lift(y) for x, y in zip(b_ih, b_hh)]).reshape(k, 4 * hd) * half
-    return LstmGroup([lift(w).transpose(1, 0) * half for w in w_ih], w_hh * half, b, reverse)
+    return LstmGroup([lift(w).transpose(1, 0) for w in w_ih], w_hh * half, b, reverse)
 
 
-def _gates(k, n, h4, dtype, steps):
+def _gates(k, n, half, steps):
     """z (K, N, 4H) and what lstm_cell reads besides it, bound once per call:
     the scale and shift that make tanh(z) the gate activations, (4H,) rows
     for one step and shaped as z for more (rows slowed narrow steps), z's gates."""
-    half = _halves(h4, dtype)
     if steps > 1:
-        z, scale, shift = np.empty((3, k, n, h4), dtype)
+        z, scale, shift = np.empty((3, k, n, half.size), half.dtype)
         scale[...], shift[...] = half, 1.0 - half
     else:
-        z, scale, shift = np.empty((k, n, h4), dtype), half, 1.0 - half
+        z, scale, shift = np.empty((k, n, half.size), half.dtype), half, 1.0 - half
     return z, (scale, shift, *z.reshape(k, n, 4, -1).transpose(2, 0, 1, 3))
 
 
 def lstm_cell(z, gates, c_prev, c, tmp, h):
     """One time step of K LSTMs, in place.  z (K, N, 4H): the gates'
-    pre-activations, sigmoid gates halved (lstm_operand), which it turns into
+    pre-activations, sigmoid gates halved (_gate_inputs), which it turns into
     the gate activations; gates: as _gates binds them.  Writes the new cell
     state to c, which may be c_prev itself, and the new hidden state to h,
     which it returns.  tmp (K, N, H) is scratch."""
@@ -237,17 +238,18 @@ def _scan(x, rev, t0, m):
     return x[::-1][t0:t0 + m] if rev else x[t0:t0 + m]
 
 
-def _gate_inputs(xd, w_ih, b, rev, t0, out):
-    """x @ w_ih^T + b of every recurrence, sigmoid gates halved (lstm_operand),
-    for the scan steps t0 .. t0 + m - 1, written in place into out[:, :m] of
-    out (K, span, N, 4H), with m the steps left up to span.  Returns out[:, :m]:
-    scan step t adds the recurrent products to its row t - t0."""
+def _gate_inputs(xd, w_ih, b, half, rev, t0, out):
+    """x @ w_ih^T, its sigmoid gates halved, + b (halved by lstm_operand) of
+    every recurrence for the scan steps t0 .. t0 + m - 1, written in place
+    into out[:, :m] of out (K, span, N, 4H), with m the steps left up to span.
+    Returns out[:, :m]: scan step t adds the recurrent products to its row t - t0."""
     k, span, n, h4 = out.shape
     m = min(span, xd[0].shape[0] - t0)
     g = out[:, :m]
-    for j, (x, w) in enumerate(zip(xd, w_ih)):
-        np.matmul(_scan(x, rev[j], t0, m).reshape(m * n, -1), w, out=g[j].reshape(m * n, h4))
-    g += b[:, None, None]
+    for gj, x, w, bj, r in zip(g, xd, w_ih, b, rev):   # each scaled while in cache
+        np.matmul(_scan(x, r, t0, m).reshape(m * n, -1), w, out=gj.reshape(m * n, h4))
+        gj *= half
+        gj += bj
     return g
 
 
@@ -279,12 +281,12 @@ def lstm_group(xs, op: LstmGroup, states):
     for j, st in enumerate(states):
         if st is not None:
             hs[j, 0], cs[j, 0] = value(st[0]), value(st[1])
-    tmp = np.empty((k, n, hd), dt)
-    z, gates = _gates(k, n, 4 * hd, dt, s)
+    half, tmp = _halves(4 * hd, dt), np.empty((k, n, hd), dt)
+    z, gates = _gates(k, n, half, s)
     # each step's (K, N, .) views of h_t, h_t+1, c_t and c_t+1, by iteration
     h_steps, c_steps = hs.swapaxes(0, 1), cs.swapaxes(0, 1) if record else [cs[:, 0]] * (s + 1)
     for t0 in range(0, s, gx.shape[1]):
-        g_span = _gate_inputs(xd, w_ih, b, rev, t0, gx).swapaxes(0, 1)
+        g_span = _gate_inputs(xd, w_ih, b, half, rev, t0, gx).swapaxes(0, 1)
         t1 = t0 + len(g_span) + 1
         for g, (h_prev, h), (c_prev, c) in zip(g_span, pairwise(h_steps[t0:t1]),
                                                pairwise(c_steps[t0:t1])):
@@ -298,12 +300,12 @@ def lstm_group(xs, op: LstmGroup, states):
     for st in states:
         inputs += st or (None, None)
     outs = multi_node(ys + list(cs[:, s]), inputs,
-                      lambda gs: _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs))
+                      lambda gs: _lstm_bptt(gs, xd, w_ih, w_hh, b, half, rev, cs, hs))
     # a final h is its output's last step in scan order
     return outs[:k], [(y[0] if r else y[-1], c) for y, r, c in zip(outs, rev, outs[k:])]
 
 
-def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
+def _lstm_bptt(gs, xd, w_ih, w_hh, b, half, rev, cs, hs):
     """lstm_group's backward.  gs: the gradients of its outputs, the K y
     and then the K final c (None where none arrived).  Returns those of its
     inputs: the K x, the K w_ih^T, w_hh, b and each recurrence's h_0 and c_0.
@@ -312,8 +314,8 @@ def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
     (see _span) at a time from the end.  One (K, span, N, 4H) buffer first
     holds the span's gate inputs; each reverse step rebuilds its gate
     activations as the forward does, with slope scale * (1 - tanh^2), and
-    overwrites its row with its gate gradients.  Those reach dx, w_ih^T, w_hh
-    and b as they are; lstm_operand's halving carries them to the weights.
+    overwrites its row with its gate gradients.  Those reach w_hh and b as
+    they are, dx through a halved w_ih^T and w_ih^T halved once at the end.
     """
     k, s, n, hd = hs[:, 1:].shape
     h4, dt = 4 * hd, hs.dtype
@@ -324,7 +326,7 @@ def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
     for j in range(k):
         if gs[k + j] is not None:
             dc[j] = gs[k + j]
-    z, (scale, shift, gi, gf, gc, go) = _gates(k, n, h4, dt, s)
+    z, (scale, shift, gi, gf, gc, go) = _gates(k, n, half, s)
     th = np.empty((k, n, hd), dt)   # tanh of the new c
     slope = np.empty((k, n, h4), dt)
     dh = np.zeros((k, n, hd), dt)   # dL/dh_t through step t + 1
@@ -332,9 +334,10 @@ def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
     # in scan order: a reverse recurrence's x is reversed, not its gradients
     d_xs = [np.empty((s, n, w.shape[0]), dt) for w in w_ih]
     d_w_ih = [np.zeros(w.shape, dt) for w in w_ih]
+    w_half = [w * half for w in w_ih]   # (I, 4H) each: cheaper to halve than a span
     d_w_hh, d_b = np.zeros((k, hd, h4), dt), np.zeros((k, h4), dt)
     for t0 in reversed(range(0, s, buf.shape[1])):
-        dg = _gate_inputs(xd, w_ih, b, rev, t0, buf)
+        dg = _gate_inputs(xd, w_ih, b, half, rev, t0, buf)
         m = dg.shape[1]
         # each step's (K, N, .) views of d, h_t, c_t and c_t+1, by iteration
         back = [a[:, lo:lo + m].swapaxes(0, 1)[::-1]
@@ -365,10 +368,11 @@ def _lstm_bptt(gs, xd, w_ih, w_hh, b, rev, cs, hs):
         d_scan = dg.reshape(k, m * n, h4)
         d_w_hh += hs[:, t0:t0 + m].reshape(k, m * n, hd).transpose(0, 2, 1) @ d_scan
         d_b += d_scan.sum(axis=1)
-        for j, (x, w, r) in enumerate(zip(xd, w_ih, rev)):
+        for j, (x, w, r) in enumerate(zip(xd, w_half, rev)):
             np.matmul(d_scan[j], w.T, out=d_xs[j][t0:t0 + m].reshape(m * n, -1))
             d_w_ih[j] += _scan(x, r, t0, m).reshape(m * n, -1).T @ d_scan[j]
-    return ([d_x[::-1] if r else d_x for d_x, r in zip(d_xs, rev)] + d_w_ih + [d_w_hh, d_b]
+    return ([d_x[::-1] if r else d_x for d_x, r in zip(d_xs, rev)]
+            + [d * half for d in d_w_ih] + [d_w_hh, d_b]
             + [g[j].copy() for j in range(k) for g in (dh, dc)])
 
 

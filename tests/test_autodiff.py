@@ -191,7 +191,7 @@ def test_lstm_cell_matches_unfused_math():
     half = nn._halves(4 * h, g.dtype)
     np.testing.assert_array_equal(half, np.repeat([0.5, 0.5, 1.0, 0.5], h))
     for steps in (1, 2):
-        z, gates = nn._gates(k, n, 4 * h, g.dtype, steps)
+        z, gates = nn._gates(k, n, half, steps)
         assert gates[0].shape == ((k, n, 4 * h) if steps > 1 else (4 * h,))
         z[...] = g * half
         c, tmp, h_out = np.empty((k, n, h)), np.empty((k, n, h)), np.empty((k, n, h))

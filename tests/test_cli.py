@@ -370,6 +370,8 @@ def test_bench_report(desk_weights, capsys, monkeypatch):
     assert rep["stream_rtf"] > 0
     assert rep["peak_rss_mb"] > 0
     assert rep["train_step_s"] > 0 and rep["train_graph_mb"] > 0
+    # a desk session keeps less than its 72 028 float32 weights: it reads views of them
+    assert 0 < rep["session_mb"] < 72_028 * 4 / 2 ** 20
     _check_threads_pinned(rep)
 
 

@@ -491,6 +491,28 @@ def test_operands_are_built_once_per_session(monkeypatch):
     assert built == once
 
 
+def test_paper_session_reads_lstm_input_weights_in_place():
+    """Every recurrence's w_ih^T operand is a view of its stored tensor, so
+    what a session keeps once built (tracemalloc) stays well below the store."""
+    store = init_weights(PAPER, seed=0)
+    tracemalloc.start()
+    try:
+        sess = StreamingSession(store, PAPER)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ft, parts = sess.ops["ft"], ("ft.re", "ft.im")
+    groups = [(ft.f, [f"{q}.f.w_ih{s}" for q in parts for s in ("", "_rev")])]
+    groups += [(op, [f"{q}.t.w_ih"]) for op, q in zip(ft.t, parts)]
+    groups += [(sess.ops[f"clstm{i}"][0], [f"clstm{i}.{w}.w_ih" for w in "ri"])
+               for i in range(PAPER.clstm_layers)]
+    for op, names in groups:
+        assert len(op.w_ih) == len(names)
+        for w_t, name in zip(op.w_ih, names):
+            assert np.shares_memory(w_t, store.tensors[name]), name
+    assert kept < 0.75 * sum(t.nbytes for t in store.tensors.values())
+
+
 @pytest.mark.parametrize("wiring", ["decoder", "input"])
 def test_mask_graph_without_recording_matches_graph(wiring):
     cfg = ModelConfig.desk_mode(df_wiring=wiring)

@@ -342,9 +342,10 @@ def test_bidirectional_lstm_reverses_cleanly():
 
 
 def test_lstm_operand_layout():
-    """The group's operands: w_ih^T, C-ordered stacked w_hh^T and b_ih + b_hh,
-    each with the sigmoid gates' (input, forget, output) columns halved, so
-    that each gate's activation is one tanh."""
+    """The group's operands: each w_ih^T an unscaled view of its stored
+    tensor, and C-ordered stacked w_hh^T and b_ih + b_hh with the sigmoid
+    gates' (input, forget, output) columns halved, so that each gate's
+    activation is one tanh (_gate_inputs halves x @ w_ih^T's)."""
     rng = np.random.default_rng(22)
     spec = rand_lstm_spec(rng, 3, 4, bidirectional=True)
     w = spec.weights
@@ -353,7 +354,9 @@ def test_lstm_operand_layout():
     half = np.repeat([0.5, 0.5, 1.0, 0.5], 4)
     assert op.w_hh.shape == (2, 4, 16) and op.w_hh.flags.c_contiguous
     np.testing.assert_array_equal(op.w_hh[1], w["w_hh_rev"].T * half)
-    np.testing.assert_array_equal(op.w_ih[1], w["w_ih_rev"].T * half)
+    for w_t, name in zip(op.w_ih, ("w_ih", "w_ih_rev")):
+        assert w_t.base is w[name]
+        np.testing.assert_array_equal(w_t, w[name].T)
     np.testing.assert_array_equal(op.b[0], (w["b_ih"] + w["b_hh"]) * half)
     assert op.reverse == (False, True)
 
